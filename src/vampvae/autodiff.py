@@ -114,9 +114,6 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
@@ -155,9 +152,6 @@ class Tensor:
     def sigmoid(self):
         return sigmoid(self)
 
-    def tanh(self):
-        return tanh(self)
-
     def softplus(self):
         return softplus(self)
 
@@ -192,6 +186,28 @@ class Tensor:
 
     def slice(self, axis, start, stop):
         return narrow(self, axis, start, stop)
+
+
+class Module:
+    """Base of every model part that owns tensors.
+
+    `parameters()` walks the instance's attributes in assignment order (the
+    items of a list module by index) and names each tensor by its attribute
+    path. A child is anything with its own `parameters`, asked through
+    attribute access, so wrappers that forward attributes are walked through.
+    Checkpoints store tensors in this order.
+    """
+
+    def parameters(self) -> dict[str, Tensor]:
+        fields = enumerate(self) if isinstance(self, list) else vars(self).items()
+        out: dict[str, Tensor] = {}
+        for name, value in fields:
+            if isinstance(value, Tensor):
+                out[str(name)] = value
+            elif hasattr(value, "parameters"):
+                for sub, t in value.parameters().items():
+                    out[f"{name}.{sub}"] = t
+        return out
 
 
 def _as_tensor(x) -> Tensor:

@@ -216,12 +216,12 @@ def _outdir(args) -> Path:
     return out
 
 
-def _workers() -> int:
+def _workers(parser: argparse.ArgumentParser) -> int:
     raw = os.environ.get("VAMPVAE_THREADS", "1")
     try:
         return max(1, min(int(raw), 32))
     except ValueError:
-        return 1
+        parser.error(f"VAMPVAE_THREADS must be an integer, got {raw!r}")
 
 
 def _fixed_test_binarization(dataset: ds_mod.Dataset, seed: int) -> np.ndarray:
@@ -259,13 +259,14 @@ def cmd_train(args) -> int:
     return 0
 
 
-def cmd_evaluate(args) -> int:
+def cmd_evaluate(args, parser: argparse.ArgumentParser) -> int:
+    workers = _workers(parser)
     model = load_checkpoint(args.checkpoint)
     dataset = load_dataset(args)
     test = _fixed_test_binarization(dataset, args.seed)
     report = evaluation.evaluate_model(model, test, s=args.is_samples,
                                        seed=args.seed, bins=args.bins,
-                                       workers=_workers())
+                                       workers=workers)
     out = _outdir(args)
     (out / "report.json").write_text(report.to_json(), encoding="utf-8")
     (out / "histogram.csv").write_text(report.histogram.to_csv(),
@@ -325,17 +326,8 @@ def cmd_inspect_prior(args, parser: argparse.ArgumentParser) -> int:
         print(f"wrote {min(args.n, values.shape[0])} pseudo-inputs to "
               f"{out / 'pseudo_inputs.pgm'}")
     elif isinstance(prior, MixtureOfGaussians):
-        from .models import Hvae
-
         means = prior.means.data[:args.n]
-        if isinstance(model, Hvae):
-            from .models import _decode_from_z2
-
-            decoded = _decode_from_z2(model, means, rng).x_mean
-        else:
-            from .autodiff import Tensor
-
-            decoded = model.decode(Tensor(means)).mean_value()
+        decoded = model.generate_from_top(means, rng, None).x_mean
         pgm.write_grid(decoded, shape, out / "mog_means.pgm")
         print(f"wrote {means.shape[0]} decoded component means to "
               f"{out / 'mog_means.pgm'}")
@@ -363,7 +355,7 @@ def main(argv=None) -> int:
         if args.command == "train":
             return cmd_train(args)
         if args.command == "evaluate":
-            return cmd_evaluate(args)
+            return cmd_evaluate(args, parser)
         if args.command == "generate":
             return cmd_generate(args)
         if args.command == "reconstruct":

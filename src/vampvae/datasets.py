@@ -4,7 +4,7 @@ synthetic cluster generator used for desk-scale experiments.
 Two wire formats are understood:
 
 - IDX (MNIST distribution format): big-endian, magic 0x00000803 for u8
-  3-D image tensors, 0x00000801 for u8 label vectors.
+  3-D image tensors.
 - raw matrix: little-endian float64 rows, either headerless (the row count
   is inferred from the file size) or prefixed with one ASCII line "N D\\n".
 """
@@ -19,9 +19,12 @@ import numpy as np
 from .errors import ContractError, DomainError, FormatError
 
 IDX_IMAGES_MAGIC = 0x00000803
-IDX_LABELS_MAGIC = 0x00000801
 
 BINARIZATIONS = ("static", "dynamic", "none")
+
+# synth_clusters gives up after this many prototype draws; with k prototypes
+# of dim bits the separation may be impossible (k > 2**dim) or hopeless
+MAX_PROTOTYPE_DRAWS = 1000
 
 
 @dataclass
@@ -49,7 +52,7 @@ class Dataset:
                 raise DomainError("static datasets must be binary")
 
 
-def load_idx(images_path, labels_path=None) -> np.ndarray:
+def load_idx(images_path) -> np.ndarray:
     """Parse an IDX u8 image file into an (N, H*W) matrix scaled to [0, 1]."""
     with open(images_path, "rb") as fh:
         blob = fh.read()
@@ -68,22 +71,7 @@ def load_idx(images_path, labels_path=None) -> np.ndarray:
     if len(blob) > expected:
         raise FormatError("trailing bytes after IDX payload", offset=expected)
     pixels = np.frombuffer(blob, dtype=np.uint8, offset=16)
-    matrix = pixels.reshape(n, rows * cols).astype(np.float64) / 255.0
-
-    if labels_path is not None:
-        with open(labels_path, "rb") as fh:
-            lab = fh.read()
-        if len(lab) < 8:
-            raise FormatError("truncated IDX label header", offset=0)
-        magic, count = struct.unpack(">II", lab[:8])
-        if magic != IDX_LABELS_MAGIC:
-            raise FormatError(f"bad IDX label magic 0x{magic:08x}", offset=0)
-        if count != n:
-            raise FormatError(f"label count {count} != image count {n}",
-                              offset=4)
-        if len(lab) != 8 + count:
-            raise FormatError("IDX label payload size mismatch", offset=8)
-    return matrix
+    return pixels.reshape(n, rows * cols).astype(np.float64) / 255.0
 
 
 def load_raw_matrix(path, dim: int, scale: float = 1.0) -> np.ndarray:
@@ -154,22 +142,28 @@ def synth_clusters(n: int, dim: int, k_clusters: int, seed: int,
                    flip_prob: float = 0.05) -> Dataset:
     """Binary clusters around k well-separated prototypes with flip noise.
 
-    Prototypes are redrawn until every pair differs in at least dim/4 bits,
-    rows are split 70/15/15.
+    Prototypes are redrawn until every pair differs in at least dim/4 bits
+    (at most MAX_PROTOTYPE_DRAWS times), rows are split 70/15/15.
     """
     if k_clusters < 1:
         raise ContractError("k_clusters must be at least 1")
+    if dim < 1:
+        raise ContractError("dim must be at least 1")
     rng = np.random.default_rng(seed)
     min_dist = dim // 4
-    while True:
+    pairs = np.triu_indices(k_clusters, 1)
+    for _ in range(MAX_PROTOTYPE_DRAWS):
         protos = (rng.random((k_clusters, dim)) < 0.5).astype(np.float64)
-        ok = True
-        for i in range(k_clusters):
-            for j in range(i + 1, k_clusters):
-                if np.sum(protos[i] != protos[j]) < min_dist:
-                    ok = False
-        if ok:
+        # Hamming distances of 0/1 rows, exact in float64
+        ones_vs_zeros = protos @ (1.0 - protos).T
+        hamming = ones_vs_zeros + ones_vs_zeros.T
+        if np.all(hamming[pairs] >= min_dist):
             break
+    else:
+        raise ContractError(
+            f"no draw of k={k_clusters} prototypes of dim={dim} differed "
+            f"pairwise in at least {min_dist} bits in {MAX_PROTOTYPE_DRAWS} "
+            "draws")
     labels = rng.integers(k_clusters, size=n)
     data = protos[labels]
     flips = rng.random((n, dim)) < flip_prob

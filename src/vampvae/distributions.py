@@ -142,16 +142,6 @@ def log_discretized_logistic(x: Tensor, mean: Tensor, log_scale: Tensor) -> Tens
     return ad.log(prob).sum(axis=-1)
 
 
-def kl_normal_diag(p: DiagGaussian, q: DiagGaussian) -> Tensor:
-    """Analytic KL(p || q) for diagonal Gaussians, summed over the event axis."""
-    if p.dim != q.dim:
-        raise DimensionError(f"kl_normal_diag: dims {p.dim} != {q.dim}")
-    var_ratio = ad.exp(ad.sub(p.log_var, q.log_var))
-    diff_term = ad.mul(ad.sub(p.mean, q.mean).square(), ad.exp(ad.neg(q.log_var)))
-    inner = ad.sub(q.log_var, p.log_var) + var_ratio + diff_term - 1.0
-    return (0.5) * inner.sum(axis=-1)
-
-
 def normal_entropy(p: DiagGaussian) -> Tensor:
     """Differential entropy of a diagonal Gaussian, per batch row."""
     return 0.5 * (p.log_var + (1.0 + LOG_2PI)).sum(axis=-1)

@@ -13,9 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tensor
-from .distributions import log_normal_diag, normal_entropy, sample_reparam
 from .errors import ContractError
-from .models import Hvae, Vae
+from .models import Vae
 
 DEFAULT_IS_CHUNK = 500
 
@@ -99,7 +98,8 @@ def elbo_decomposition(data: np.ndarray, model, samples_per_x: int, rng,
     `entropy_mode="analytic"` uses the closed-form diagonal-Gaussian entropy;
     `"sampled"` uses -log q at the drawn latents, which makes `elbo_sum`
     coincide with the direct Monte Carlo objective under common random
-    numbers. The noise consumption order matches `Model.forward` exactly.
+    numbers. Each sample is one `Model.forward` pass, so the noise order is
+    the model's own.
     """
     if samples_per_x < 1:
         raise ContractError("samples_per_x must be at least 1")
@@ -111,44 +111,20 @@ def elbo_decomposition(data: np.ndarray, model, samples_per_x: int, rng,
     x = Tensor(data)
     n = data.shape[0]
     recon = np.zeros(n)
-    ent_sampled = np.zeros(n)
-    ent_analytic = np.zeros(n)
+    entropy = np.zeros(n)
     cross = np.zeros(n)
-
-    if isinstance(model, Vae):
-        q = model.encode(x)
-        h_analytic = normal_entropy(q).data
-        for _ in range(samples_per_x):
-            eps = Tensor(rng.standard_normal((n, model.spec.latent1)))
-            z = sample_reparam(q, eps)
-            recon += model.decode(z).log_prob(x).data
-            cross += -model.prior.log_prob(z).data
-            ent_sampled += -log_normal_diag(z, q).data
-            ent_analytic += h_analytic
-    elif isinstance(model, Hvae):
-        q2 = model.encode_top(x)
-        x_path = model.enc_z1_x(x)
-        h2 = normal_entropy(q2).data
-        for _ in range(samples_per_x):
-            eps2 = Tensor(rng.standard_normal((n, model.spec.latent2)))
-            z2 = sample_reparam(q2, eps2)
-            q1 = model.encode_bottom(x, z2, x_path=x_path)
-            eps1 = Tensor(rng.standard_normal((n, model.spec.latent1)))
-            z1 = sample_reparam(q1, eps1)
-            recon += model.decode(z1, z2).log_prob(x).data
-            p1 = model.conditional_prior(z2)
-            cross += -(model.prior.log_prob(z2).data
-                       + log_normal_diag(z1, p1).data)
-            ent_sampled += -(log_normal_diag(z2, q2).data
-                             + log_normal_diag(z1, q1).data)
-            ent_analytic += h2 + normal_entropy(q1).data
-    else:
-        raise ContractError(f"unsupported model {type(model).__name__}")
+    for _ in range(samples_per_x):
+        rec = model.forward(x, rng, 1)
+        recon += rec.log_px.data
+        cross += -rec.log_p().data
+        if entropy_mode == "analytic":
+            entropy += rec.entropy().data
+        else:
+            entropy += -rec.log_q().data
 
     recon /= samples_per_x
     cross /= samples_per_x
-    entropy = (ent_analytic if entropy_mode == "analytic"
-               else ent_sampled) / samples_per_x
+    entropy /= samples_per_x
     per_example = {"recon": recon, "entropy": entropy, "cross_entropy": cross}
     return ElboDecomposition(float(recon.mean()), float(entropy.mean()),
                              float(cross.mean()), per_example)

@@ -13,17 +13,18 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
+from .autodiff import Module, Tensor
 from .distributions import (
     BernoulliParams,
     DiagGaussian,
     DiscretizedLogisticParams,
     log_normal_diag,
+    normal_entropy,
     sample_reparam,
 )
 from .errors import ContractError, DimensionError, FormatError
@@ -68,8 +69,9 @@ class ModelSpec:
             raise ContractError(f"levels must be 1 or 2, got {self.levels}")
         for name in ("data_dim", "latent1", "latent2", "hidden",
                      "hidden_layers", "prior_components"):
-            if getattr(self, name) < 1:
-                raise ContractError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not isinstance(value, int) or value < 1:
+                raise ContractError(f"{name} must be a positive integer")
         if self.likelihood not in LIKELIHOODS:
             raise ContractError(f"unknown likelihood '{self.likelihood}'")
         if self.prior_kind not in PRIOR_KINDS:
@@ -80,12 +82,7 @@ class ModelSpec:
         return self.latent2 if self.levels == 2 else self.latent1
 
     def to_dict(self) -> dict:
-        return {"levels": self.levels, "data_dim": self.data_dim,
-                "latent1": self.latent1, "latent2": self.latent2,
-                "hidden": self.hidden, "hidden_layers": self.hidden_layers,
-                "likelihood": self.likelihood, "prior_kind": self.prior_kind,
-                "prior_components": self.prior_components,
-                "prior_squash": self.prior_squash}
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelSpec":
@@ -97,7 +94,7 @@ def _glorot(rng, fan_in: int, fan_out: int) -> np.ndarray:
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
-class GatedDense:
+class GatedDense(Module):
     """Affine output gated element-wise by a sigmoid of a second affine map."""
 
     def __init__(self, in_dim: int, out_dim: int, rng):
@@ -109,32 +106,21 @@ class GatedDense:
     def __call__(self, x: Tensor) -> Tensor:
         return ad.mul(x @ self.w1 + self.b1, ad.sigmoid(x @ self.w2 + self.b2))
 
-    def parameters(self, prefix: str) -> dict[str, Tensor]:
-        return {f"{prefix}.w1": self.w1, f"{prefix}.b1": self.b1,
-                f"{prefix}.w2": self.w2, f"{prefix}.b2": self.b2}
 
-
-class GatedStack:
+class GatedStack(Module, list):
     """`depth` gated dense layers: in_dim -> width -> ... -> width."""
 
     def __init__(self, in_dim: int, width: int, depth: int, rng):
-        self.layers = []
-        for i in range(depth):
-            self.layers.append(GatedDense(in_dim if i == 0 else width, width, rng))
+        super().__init__(GatedDense(in_dim if i == 0 else width, width, rng)
+                         for i in range(depth))
 
     def __call__(self, x: Tensor) -> Tensor:
-        for layer in self.layers:
+        for layer in self:
             x = layer(x)
         return x
 
-    def parameters(self, prefix: str) -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
-        for i, layer in enumerate(self.layers):
-            out.update(layer.parameters(f"{prefix}.{i}"))
-        return out
 
-
-class GaussianHead:
+class GaussianHead(Module):
     """Affine map emitting (mean, log_var) halves of a diagonal Gaussian."""
 
     def __init__(self, in_dim: int, out_dim: int, rng):
@@ -147,11 +133,8 @@ class GaussianHead:
         m = self.out_dim
         return DiagGaussian(raw.slice(1, 0, m), raw.slice(1, m, 2 * m))
 
-    def parameters(self, prefix: str) -> dict[str, Tensor]:
-        return {f"{prefix}.w": self.w, f"{prefix}.b": self.b}
 
-
-class LikelihoodHead:
+class LikelihoodHead(Module):
     """Affine map emitting Bernoulli logits or logistic (mean, log_scale)."""
 
     def __init__(self, in_dim: int, data_dim: int, likelihood: str, rng):
@@ -170,29 +153,47 @@ class LikelihoodHead:
         log_scale = raw.slice(1, d, 2 * d).clip(LOG_SCALE_MIN, LOG_SCALE_MAX)
         return DiscretizedLogisticParams(mean, log_scale)
 
-    def parameters(self, prefix: str) -> dict[str, Tensor]:
-        return {f"{prefix}.w": self.w, f"{prefix}.b": self.b}
 
-
-@dataclass
-class VaeRecord:
-    """Per-row log-terms of the one-level objective, averaged over samples."""
-
-    log_px: Tensor
-    log_pz: Tensor
-    log_qz: Tensor
-    z: Tensor
+class _Objective:
+    """ELBO terms shared by both records: `log_p` is the prior side and
+    `log_q` the posterior side of the regularizer."""
 
     def regularizer(self) -> Tensor:
-        return ad.sub(self.log_pz, self.log_qz)
+        return ad.sub(self.log_p(), self.log_q())
 
     def elbo(self) -> Tensor:
         return ad.add(self.log_px, self.regularizer())
 
 
 @dataclass
-class HvaeRecord:
-    """Per-row log-terms of the two-level objective, averaged over samples."""
+class VaeRecord(_Objective):
+    """Per-row log-terms of the one-level objective, averaged over samples,
+    with the posterior and the last sample."""
+
+    log_px: Tensor
+    log_pz: Tensor
+    log_qz: Tensor
+    z: Tensor
+    q: DiagGaussian
+
+    def log_p(self) -> Tensor:
+        return self.log_pz
+
+    def log_q(self) -> Tensor:
+        return self.log_qz
+
+    def entropy(self) -> Tensor:
+        """Analytic entropy of q(z | x)."""
+        return normal_entropy(self.q)
+
+    def latents(self) -> tuple[Tensor]:
+        return (self.z,)
+
+
+@dataclass
+class HvaeRecord(_Objective):
+    """Per-row log-terms of the two-level objective, averaged over samples,
+    with the posteriors and latents of the last sample."""
 
     log_px: Tensor
     log_pz2: Tensor
@@ -201,22 +202,45 @@ class HvaeRecord:
     log_qz1: Tensor
     z1: Tensor
     z2: Tensor
+    q2: DiagGaussian
+    q1: DiagGaussian
 
-    def regularizer(self) -> Tensor:
-        prior_side = ad.add(self.log_pz2, self.log_pz1)
-        posterior_side = ad.add(self.log_qz2, self.log_qz1)
-        return ad.sub(prior_side, posterior_side)
+    def log_p(self) -> Tensor:
+        return ad.add(self.log_pz2, self.log_pz1)
 
-    def elbo(self) -> Tensor:
-        return ad.add(self.log_px, self.regularizer())
+    def log_q(self) -> Tensor:
+        return ad.add(self.log_qz2, self.log_qz1)
+
+    def entropy(self) -> Tensor:
+        """Analytic entropy of q(z2 | x) plus that of q(z1 | x, z2) at the
+        last z2."""
+        return ad.add(normal_entropy(self.q2), normal_entropy(self.q1))
+
+    def latents(self) -> tuple[Tensor, Tensor]:
+        return (self.z1, self.z2)
 
 
-def _as_batch(x) -> Tensor:
+@dataclass
+class Generation:
+    """Decoded likelihood means plus the latents that produced them."""
+
+    x_mean: np.ndarray
+    z1: np.ndarray
+    z2: np.ndarray | None = None
+    components: np.ndarray | None = None
+
+
+def _checked_batch(x, spec: ModelSpec, mc_samples: int) -> Tensor:
+    """The checks both forward passes share; returns x as a (B, D) tensor."""
+    if mc_samples < 1:
+        raise ContractError("mc_samples must be at least 1")
     t = x if isinstance(x, Tensor) else Tensor(x)
     if t.ndim == 1:
         t = t.reshape((1, t.shape[0]))
     if t.ndim != 2:
         raise DimensionError(f"expected a (B, D) batch, got {t.shape}")
+    if t.shape[1] != spec.data_dim:
+        raise DimensionError(f"data dim {t.shape[1]} != {spec.data_dim}")
     return t
 
 
@@ -227,38 +251,36 @@ def _average(terms: list[Tensor]) -> Tensor:
     return total * (1.0 / len(terms)) if len(terms) > 1 else total
 
 
-class Vae:
+class Vae(Module):
     """One-level VAE: q(z|x), p(x|z), interchangeable prior p(z)."""
 
     def __init__(self, spec: ModelSpec, prior, rng):
         if spec.levels != 1:
             raise ContractError("Vae requires a one-level spec")
         self.spec = spec
+        self.encoder = GatedStack(spec.data_dim, spec.hidden,
+                                  spec.hidden_layers, rng)
+        self.encoder_head = GaussianHead(spec.hidden, spec.latent1, rng)
+        self.decoder = GatedStack(spec.latent1, spec.hidden,
+                                  spec.hidden_layers, rng)
+        self.decoder_head = LikelihoodHead(spec.hidden, spec.data_dim,
+                                           spec.likelihood, rng)
+        # assigned last: the prior's tensors close the parameter order
         self.prior = prior
-        self.enc = GatedStack(spec.data_dim, spec.hidden, spec.hidden_layers, rng)
-        self.enc_head = GaussianHead(spec.hidden, spec.latent1, rng)
-        self.dec = GatedStack(spec.latent1, spec.hidden, spec.hidden_layers, rng)
-        self.dec_head = LikelihoodHead(spec.hidden, spec.data_dim,
-                                       spec.likelihood, rng)
         if isinstance(prior, VampPrior):
             prior.encoder = self.encode
 
     def encode(self, x: Tensor) -> DiagGaussian:
-        return self.enc_head(self.enc(x))
+        return self.encoder_head(self.encoder(x))
 
     def decode(self, z: Tensor):
-        return self.dec_head(self.dec(z))
+        return self.decoder_head(self.decoder(z))
 
     def prior_level_posterior(self, x: Tensor) -> DiagGaussian:
         return self.encode(x)
 
     def forward(self, x, rng, mc_samples: int = 1) -> VaeRecord:
-        if mc_samples < 1:
-            raise ContractError("mc_samples must be at least 1")
-        x = _as_batch(x)
-        if x.shape[1] != self.spec.data_dim:
-            raise DimensionError(f"data dim {x.shape[1]} != "
-                                 f"{self.spec.data_dim}")
+        x = _checked_batch(x, self.spec, mc_samples)
         q = self.encode(x)
         log_px, log_pz, log_qz = [], [], []
         z = None
@@ -268,30 +290,27 @@ class Vae:
             log_px.append(self.decode(z).log_prob(x))
             log_pz.append(self.prior.log_prob(z))
             log_qz.append(log_normal_diag(z, q))
-        return VaeRecord(_average(log_px), _average(log_pz), _average(log_qz), z)
+        return VaeRecord(_average(log_px), _average(log_pz), _average(log_qz),
+                         z, q)
 
     def log_importance_weight(self, x, rng) -> np.ndarray:
         rec = self.forward(x, rng, mc_samples=1)
         return rec.elbo().data
 
-    def parameters(self) -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
-        out.update(self.enc.parameters("encoder"))
-        out.update(self.enc_head.parameters("encoder_head"))
-        out.update(self.dec.parameters("decoder"))
-        out.update(self.dec_head.parameters("decoder_head"))
-        out.update(self.prior.parameters())
-        return out
+    def generate_from_top(self, z_top: np.ndarray, rng,
+                          components) -> Generation:
+        """Decode top-level latents; `rng` is unused (z is the only level)."""
+        x = self.decode(Tensor(z_top)).mean_value()
+        return Generation(x, z_top, components=components)
 
 
-class Hvae:
+class Hvae(Module):
     """Two-level hierarchical VAE with a coupled top-level prior."""
 
     def __init__(self, spec: ModelSpec, prior, rng):
         if spec.levels != 2:
             raise ContractError("Hvae requires a two-level spec")
         self.spec = spec
-        self.prior = prior
         d, h, depth = spec.data_dim, spec.hidden, spec.hidden_layers
         m1, m2 = spec.latent1, spec.latent2
         self.enc_z2 = GatedStack(d, h, depth, rng)
@@ -306,6 +325,8 @@ class Hvae:
         self.dec_z2 = GatedStack(m2, h, depth, rng)
         self.dec_joint = GatedDense(2 * h, h, rng)
         self.dec_head = LikelihoodHead(h, d, spec.likelihood, rng)
+        # assigned last: the prior's tensors close the parameter order
+        self.prior = prior
         if isinstance(prior, VampPrior):
             prior.encoder = self.encode_top
 
@@ -331,18 +352,13 @@ class Hvae:
         return self.encode_top(x)
 
     def forward(self, x, rng, mc_samples: int = 1) -> HvaeRecord:
-        if mc_samples < 1:
-            raise ContractError("mc_samples must be at least 1")
-        x = _as_batch(x)
-        if x.shape[1] != self.spec.data_dim:
-            raise DimensionError(f"data dim {x.shape[1]} != "
-                                 f"{self.spec.data_dim}")
+        x = _checked_batch(x, self.spec, mc_samples)
         b = x.shape[0]
         q2 = self.encode_top(x)
         x_path = self.enc_z1_x(x)
         logs: dict[str, list[Tensor]] = {k: [] for k in
                                          ("px", "pz2", "pz1", "qz2", "qz1")}
-        z1 = z2 = None
+        z1 = z2 = q1 = None
         for _ in range(mc_samples):
             eps2 = Tensor(rng.standard_normal((b, self.spec.latent2)))
             z2 = sample_reparam(q2, eps2)
@@ -357,28 +373,21 @@ class Hvae:
             logs["qz1"].append(log_normal_diag(z1, q1))
         return HvaeRecord(_average(logs["px"]), _average(logs["pz2"]),
                           _average(logs["pz1"]), _average(logs["qz2"]),
-                          _average(logs["qz1"]), z1, z2)
+                          _average(logs["qz1"]), z1, z2, q2, q1)
 
     def log_importance_weight(self, x, rng) -> np.ndarray:
         rec = self.forward(x, rng, mc_samples=1)
         return rec.elbo().data
 
-    def parameters(self) -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
-        out.update(self.enc_z2.parameters("enc_z2"))
-        out.update(self.enc_z2_head.parameters("enc_z2_head"))
-        out.update(self.enc_z1_x.parameters("enc_z1_x"))
-        out.update(self.enc_z1_z.parameters("enc_z1_z"))
-        out.update(self.enc_z1_joint.parameters("enc_z1_joint"))
-        out.update(self.enc_z1_head.parameters("enc_z1_head"))
-        out.update(self.cond_z1.parameters("cond_z1"))
-        out.update(self.cond_z1_head.parameters("cond_z1_head"))
-        out.update(self.dec_z1.parameters("dec_z1"))
-        out.update(self.dec_z2.parameters("dec_z2"))
-        out.update(self.dec_joint.parameters("dec_joint"))
-        out.update(self.dec_head.parameters("dec_head"))
-        out.update(self.prior.parameters())
-        return out
+    def generate_from_top(self, z_top: np.ndarray, rng,
+                          components) -> Generation:
+        """Draw z1 from p(z1 | z2 = z_top) and decode both levels."""
+        z2 = Tensor(z_top)
+        p1 = self.conditional_prior(z2)
+        eps = Tensor(rng.standard_normal((z_top.shape[0], self.spec.latent1)))
+        z1 = sample_reparam(p1, eps)
+        x = self.decode(z1, z2).mean_value()
+        return Generation(x, z1.data, z2=z_top, components=components)
 
 
 Model = Vae | Hvae
@@ -412,80 +421,38 @@ def build_model(spec: ModelSpec, rng, data_mean=None, data_rows=None) -> Model:
     return Hvae(spec, prior, rng)
 
 
-def vae_forward(x, model: Vae, rng, mc_samples: int = 1) -> VaeRecord:
-    return model.forward(x, rng, mc_samples)
-
-
-def hvae_forward(x, model: Hvae, rng, mc_samples: int = 1) -> HvaeRecord:
-    return model.forward(x, rng, mc_samples)
-
-
-@dataclass
-class Generation:
-    """Decoded likelihood means plus the latents that produced them."""
-
-    x_mean: np.ndarray
-    z1: np.ndarray
-    z2: np.ndarray | None = None
-    components: np.ndarray | None = None
-
-
 def generate(model: Model, n: int, rng) -> Generation:
     """Sample the generative chain and decode to likelihood means."""
     d = model.spec.data_dim
     if n == 0:
         return Generation(np.empty((0, d)), np.empty((0, model.spec.latent1)))
     ps = sample_prior(model.prior, n, rng)
-    if isinstance(model, Vae):
-        x = model.decode(Tensor(ps.z)).mean_value()
-        return Generation(x, ps.z, components=ps.components)
-    return _decode_from_z2(model, ps.z, rng, ps.components)
-
-
-def _decode_from_z2(model: Hvae, z2: np.ndarray, rng,
-                    components=None) -> Generation:
-    z2_t = Tensor(z2)
-    p1 = model.conditional_prior(z2_t)
-    eps = Tensor(rng.standard_normal((z2.shape[0], model.spec.latent1)))
-    z1 = sample_reparam(p1, eps)
-    x = model.decode(z1, z2_t).mean_value()
-    return Generation(x, z1.data, z2=z2, components=components)
+    return model.generate_from_top(ps.z, rng, ps.components)
 
 
 def generate_from_component(model: Model, component: int, n: int,
                             rng) -> Generation:
     """Generate with the top latent drawn from one mixture component."""
     prior = model.prior
-    if isinstance(prior, VampPrior):
-        comps = prior.encoder(prior.pseudo_input_values())
-        means, log_vars = comps.mean.data, comps.log_var.data
-    elif isinstance(prior, MixtureOfGaussians):
-        means, log_vars = prior.means.data, prior.log_vars.data
-    else:
+    if isinstance(prior, StandardGaussian):
         raise ContractError("component-conditioned generation needs a "
                             "mixture prior")
     if not 0 <= component < prior.k:
         raise ContractError(f"component {component} out of range for "
                             f"K={prior.k}")
+    comps = prior.components()
     picked = DiagGaussian(
-        Tensor(np.tile(means[component], (n, 1))),
-        Tensor(np.tile(log_vars[component], (n, 1))))
-    top_dim = model.spec.top_latent
-    eps = Tensor(rng.standard_normal((n, top_dim)))
+        Tensor(np.tile(comps.mean.data[component], (n, 1))),
+        Tensor(np.tile(comps.log_var.data[component], (n, 1))))
+    eps = Tensor(rng.standard_normal((n, model.spec.top_latent)))
     z_top = sample_reparam(picked, eps).data
-    labels = np.full(n, component)
-    if isinstance(model, Vae):
-        x = model.decode(Tensor(z_top)).mean_value()
-        return Generation(x, z_top, components=labels)
-    return _decode_from_z2(model, z_top, rng, labels)
+    return model.generate_from_top(z_top, rng, np.full(n, component))
 
 
 def reconstruct(x, model: Model, rng) -> np.ndarray:
     """Encode with one posterior sample and decode to the likelihood mean."""
     rec = model.forward(x, rng, mc_samples=1)
-    if isinstance(model, Vae):
-        return model.decode(rec.z).mean_value()
-    return model.decode(rec.z1, rec.z2).mean_value()
+    return model.decode(*rec.latents()).mean_value()
 
 
 def set_parameters(model: Model, state: dict[str, np.ndarray]) -> None:
@@ -517,6 +484,24 @@ def save_checkpoint(model: Model, path) -> None:
             fh.write(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
 
 
+def _checked_manifest(tensors) -> list:
+    """The header's [name, shape] pairs, each name once, each dim a
+    non-negative integer; ValueError otherwise."""
+    if not isinstance(tensors, list):
+        raise ValueError("tensor manifest is not a list")
+    names = set()
+    for entry in tensors:
+        if not (isinstance(entry, list) and len(entry) == 2
+                and isinstance(entry[0], str) and isinstance(entry[1], list)
+                and all(type(d) is int and d >= 0 for d in entry[1])):
+            raise ValueError(f"manifest entry {entry!r} is not a "
+                             "[name, shape] pair")
+        if entry[0] in names:
+            raise ValueError(f"duplicate tensor '{entry[0]}' in manifest")
+        names.add(entry[0])
+    return tensors
+
+
 def load_checkpoint(path) -> Model:
     """Rebuild a model from a checkpoint; bitwise inverse of save."""
     with open(path, "rb") as fh:
@@ -537,14 +522,14 @@ def load_checkpoint(path) -> Model:
     try:
         meta = json.loads(blob[12:12 + header_len].decode("utf-8"))
         spec = ModelSpec.from_dict(meta["spec"])
-        manifest = meta["tensors"]
+        manifest = _checked_manifest(meta["tensors"])
     except (ValueError, KeyError, TypeError, ContractError) as exc:
         raise FormatError(f"bad checkpoint metadata: {exc}", offset=12) from exc
 
     offset = 12 + header_len
     arrays: dict[str, np.ndarray] = {}
     for name, shape in manifest:
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
+        count = math.prod(shape)
         nbytes = count * 8
         if len(blob) < offset + nbytes:
             raise FormatError(f"truncated payload for tensor '{name}'",

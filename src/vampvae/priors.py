@@ -17,18 +17,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
+from .autodiff import Module, Tensor
 from .distributions import (
     DiagGaussian,
     log_normal_diag_pairwise,
     log_standard_normal,
+    sample_reparam,
 )
 from .errors import ContractError, DimensionError
 
 PRIOR_KINDS = ("sg", "mog", "vamp", "vamp-data", "weighted-vamp")
 
 
-class StandardGaussian:
+class StandardGaussian(Module):
     """Fixed N(0, I) prior."""
 
     tag = "sg"
@@ -41,11 +42,8 @@ class StandardGaussian:
             raise DimensionError(f"prior dim {self.dim} != z dim {z.shape[-1]}")
         return log_standard_normal(z)
 
-    def parameters(self) -> dict[str, Tensor]:
-        return {}
 
-
-class MixtureOfGaussians:
+class MixtureOfGaussians(Module):
     """Uniform mixture of K diagonal Gaussians with trainable parameters."""
 
     tag = "mog"
@@ -71,14 +69,14 @@ class MixtureOfGaussians:
     def dim(self) -> int:
         return self.means.shape[1]
 
+    def components(self) -> DiagGaussian:
+        return DiagGaussian(self.means, self.log_vars)
+
     def log_prob(self, z: Tensor) -> Tensor:
-        return _mixture_log_prob(z, self.means, self.log_vars, None)
-
-    def parameters(self) -> dict[str, Tensor]:
-        return {"prior.means": self.means, "prior.log_vars": self.log_vars}
+        return _mixture_log_prob(z, self.components(), None)
 
 
-class VampPrior:
+class VampPrior(Module):
     """Mixture of variational posteriors at K trainable pseudo-inputs.
 
     Pseudo-inputs are stored unconstrained; when `squash` is set they pass
@@ -115,7 +113,7 @@ class VampPrior:
     def pseudo_input_values(self) -> Tensor:
         return ad.sigmoid(self.pseudo_inputs) if self.squash else self.pseudo_inputs
 
-    def _components(self) -> DiagGaussian:
+    def components(self) -> DiagGaussian:
         if self.encoder is None:
             raise ContractError("prior has no encoder bound")
         return self.encoder(self.pseudo_input_values())
@@ -124,11 +122,7 @@ class VampPrior:
         return None
 
     def log_prob(self, z: Tensor) -> Tensor:
-        comps = self._components()
-        return _mixture_log_prob(z, comps.mean, comps.log_var, self._log_weights())
-
-    def parameters(self) -> dict[str, Tensor]:
-        return {"prior.pseudo_inputs": self.pseudo_inputs}
+        return _mixture_log_prob(z, self.components(), self._log_weights())
 
 
 class VampDataPrior(VampPrior):
@@ -176,21 +170,17 @@ class WeightedVampPrior(VampPrior):
     def _log_weights(self) -> Tensor:
         return ad.sub(self.weight_logits, self.weight_logits.logsumexp())
 
-    def parameters(self) -> dict[str, Tensor]:
-        return {"prior.pseudo_inputs": self.pseudo_inputs,
-                "prior.weight_logits": self.weight_logits}
 
-
-def _mixture_log_prob(z: Tensor, means: Tensor, log_vars: Tensor,
+def _mixture_log_prob(z: Tensor, comps: DiagGaussian,
                       log_weights: Tensor | None) -> Tensor:
     """log sum_k w_k N(z | mu_k, var_k) for a batch of rows z."""
     if z.ndim != 2:
         raise DimensionError(f"mixture log_prob expects a (B, M) batch, got "
                              f"{z.shape}")
-    k, m = means.shape
+    k, m = comps.mean.shape
     if z.shape[1] != m:
         raise DimensionError(f"latent dim {z.shape[1]} != component dim {m}")
-    mat = log_normal_diag_pairwise(z, DiagGaussian(means, log_vars))
+    mat = log_normal_diag_pairwise(z, comps)
     if log_weights is None:
         # same arithmetic as the weighted path so uniform logits reproduce
         # the unweighted density bitwise
@@ -217,23 +207,14 @@ def sample_prior(spec, n: int, rng) -> PriorSample:
         raise ContractError("sample count must be non-negative")
     if isinstance(spec, StandardGaussian):
         return PriorSample(rng.standard_normal((n, spec.dim)), None)
-    if isinstance(spec, MixtureOfGaussians):
-        means, log_vars = spec.means.data, spec.log_vars.data
-        ks = rng.integers(spec.k, size=n)
-    elif isinstance(spec, WeightedVampPrior):
-        comps = spec._components()
-        means, log_vars = comps.mean.data, comps.log_var.data
+    comps = spec.components()
+    if isinstance(spec, WeightedVampPrior):
         ks = rng.choice(spec.k, size=n, p=spec.weights())
-    elif isinstance(spec, VampPrior):
-        comps = spec._components()
-        means, log_vars = comps.mean.data, comps.log_var.data
-        ks = rng.integers(spec.k, size=n)
     else:
-        raise ContractError(f"unknown prior {type(spec).__name__}")
-    eps = rng.standard_normal((n, means.shape[1]))
-    from .distributions import sample_reparam
-
-    picked = DiagGaussian(Tensor(means[ks]), Tensor(log_vars[ks]))
+        ks = rng.integers(spec.k, size=n)
+    eps = rng.standard_normal((n, comps.dim))
+    picked = DiagGaussian(Tensor(comps.mean.data[ks]),
+                          Tensor(comps.log_var.data[ks]))
     z = sample_reparam(picked, Tensor(eps)).data
     return PriorSample(z, ks)
 

@@ -77,8 +77,8 @@ class TestCriterion2VampCoupling:
         x_row = ad.sigmoid(Tensor(raw_row)).data
         x = Tensor(np.tile(x_row, (5, 1)))
 
-        encoder_params = {**model.enc.parameters("encoder"),
-                          **model.enc_head.parameters("encoder_head")}
+        encoder_params = {name: p for name, p in model.parameters().items()
+                          if name.startswith("encoder")}
         for p in encoder_params.values():
             p.zero_grad()
         eps = Tensor(np.random.default_rng(104).standard_normal((5, 2)))

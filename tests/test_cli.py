@@ -128,6 +128,34 @@ class TestEvaluate:
         assert cli.main(argv) == 1
         assert "error" in capsys.readouterr().err
 
+    def test_malformed_checkpoint_exits_one_without_traceback(
+            self, trained, tmp_path, capsys):
+        blob = (trained / "checkpoint_best.ckpt").read_bytes()
+        n = int.from_bytes(blob[8:12], "little")
+        meta = json.loads(blob[12:12 + n])
+        meta["tensors"][0][1] = [4.0, 3]
+        header = json.dumps(meta, sort_keys=True).encode()
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(blob[:8] + len(header).to_bytes(4, "little")
+                        + header + blob[12 + n:])
+        argv = (["evaluate", "--checkpoint", str(bad)] + TINY_DATA
+                + ["--outdir", str(tmp_path / "out")])
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad checkpoint metadata")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_non_integer_worker_env_is_usage_error(self, trained, tmp_path,
+                                                   monkeypatch, capsys):
+        monkeypatch.setenv("VAMPVAE_THREADS", "abc")
+        argv = (["evaluate", "--checkpoint",
+                 str(trained / "checkpoint_best.ckpt")] + TINY_DATA
+                + ["--outdir", str(tmp_path)])
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "VAMPVAE_THREADS" in capsys.readouterr().err
+
     def test_deterministic_report_bytes(self, trained, tmp_path):
         outs = []
         for sub in ("x", "y"):

@@ -27,13 +27,6 @@ def write_idx_images(path, images: np.ndarray) -> None:
         fh.write(images.astype(np.uint8).tobytes())
 
 
-def write_idx_labels(path, labels: np.ndarray) -> None:
-    with open(path, "wb") as fh:
-        fh.write(struct.pack(">I", 0x00000801))
-        fh.write(struct.pack(">I", labels.shape[0]))
-        fh.write(labels.astype(np.uint8).tobytes())
-
-
 class TestLoadIdx:
     def test_two_image_fixture(self, tmp_path):
         images = np.array([[[0, 255], [51, 102]],
@@ -58,16 +51,6 @@ class TestLoadIdx:
         with pytest.raises(FormatError) as err:
             load_idx(path)
         assert err.value.offset is not None
-
-    def test_labels_validated_against_images(self, tmp_path):
-        images = np.zeros((3, 2, 2), dtype=np.uint8)
-        img_path, lab_path = tmp_path / "i.idx", tmp_path / "l.idx"
-        write_idx_images(img_path, images)
-        write_idx_labels(lab_path, np.array([1, 2]))
-        with pytest.raises(FormatError):
-            load_idx(img_path, lab_path)
-        write_idx_labels(lab_path, np.array([1, 2, 3]))
-        assert load_idx(img_path, lab_path).shape == (3, 4)
 
     def test_trailing_bytes_rejected(self, tmp_path):
         images = np.zeros((1, 2, 2), dtype=np.uint8)
@@ -194,9 +177,34 @@ class TestSynthClusters:
         for split in (ds.train, ds.val, ds.test):
             assert np.all((split == 0) | (split == 1))
 
+    def test_prototypes_match_the_pairwise_loop_reference(self):
+        # the separation check as a plain double loop over prototype pairs;
+        # at these sizes many seeds need redraws
+        def reference(n, dim, k, seed):
+            rng = np.random.default_rng(seed)
+            while True:
+                protos = (rng.random((k, dim)) < 0.5).astype(np.float64)
+                if all(np.sum(protos[i] != protos[j]) >= dim // 4
+                       for i in range(k) for j in range(i + 1, k)):
+                    return protos[rng.integers(k, size=n)]
+
+        for dim, k in [(8, 5), (9, 7), (12, 6)]:
+            for seed in range(8):
+                ds = synth_clusters(40, dim, k, seed=seed, flip_prob=0.0)
+                rows = np.vstack([ds.train, ds.val, ds.test])
+                np.testing.assert_array_equal(rows,
+                                              reference(40, dim, k, seed))
+
+    def test_infeasible_separation_is_a_contract_error(self):
+        # 32 prototypes of 4 bits cannot all differ: at most 16 are distinct
+        with pytest.raises(ContractError, match=r"k=32 .*dim=4"):
+            synth_clusters(100, 4, 32, seed=0)
+
     def test_bad_cluster_count(self):
         with pytest.raises(ContractError):
             synth_clusters(10, 8, 0, seed=0)
+        with pytest.raises(ContractError):
+            synth_clusters(10, 0, 2, seed=0)
 
 
 class TestDatasetInvariants:

@@ -18,11 +18,9 @@ from vampvae.models import (
     build_model,
     generate,
     generate_from_component,
-    hvae_forward,
     load_checkpoint,
     reconstruct,
     save_checkpoint,
-    vae_forward,
 )
 
 LOG_2PI = math.log(2 * math.pi)
@@ -48,7 +46,7 @@ class TestForward:
         model = tiny_model(2, d=4)
         zero_parameters(model)
         x = np.array([[1.0, 0.0, 1.0, 1.0]])
-        rec = hvae_forward(x, model, np.random.default_rng(0))
+        rec = model.forward(x, np.random.default_rng(0))
         assert rec.log_px.data[0] == pytest.approx(4 * math.log(0.5), rel=1e-12)
         assert rec.log_px.data[0] == pytest.approx(-2.772589, abs=1e-6)
 
@@ -59,14 +57,14 @@ class TestForward:
         zero_parameters(model)
         n = 10_000
         x = np.tile([1.0, 0.0, 1.0, 0.0], (n, 1))
-        rec = hvae_forward(x, model, np.random.default_rng(1))
+        rec = model.forward(x, np.random.default_rng(1))
         reg = rec.regularizer().data
         se = reg.std(ddof=1) / math.sqrt(n)
         assert abs(reg.mean()) <= 3 * se
 
     def test_vae_record_fields(self):
         model = tiny_model(1)
-        rec = vae_forward(np.zeros((3, 4)), model, np.random.default_rng(2))
+        rec = model.forward(np.zeros((3, 4)), np.random.default_rng(2))
         for t in (rec.log_px, rec.log_pz, rec.log_qz):
             assert t.shape == (3,)
         assert rec.z.shape == (3, 2)
@@ -77,12 +75,12 @@ class TestForward:
     def test_dimension_mismatch_rejected(self):
         model = tiny_model(1, d=4)
         with pytest.raises(DimensionError):
-            vae_forward(np.zeros((2, 5)), model, np.random.default_rng(0))
+            model.forward(np.zeros((2, 5)), np.random.default_rng(0))
 
     def test_mc_samples_contract(self):
         model = tiny_model(1)
         with pytest.raises(ContractError):
-            vae_forward(np.zeros((1, 4)), model, np.random.default_rng(0), 0)
+            model.forward(np.zeros((1, 4)), np.random.default_rng(0), 0)
 
     def test_variance_shrinks_with_more_samples(self):
         model = tiny_model(2, d=4)
@@ -91,7 +89,7 @@ class TestForward:
         def estimates(L, n=40):
             vals = []
             for s in range(n):
-                rec = hvae_forward(x, model, np.random.default_rng(1000 + s), L)
+                rec = model.forward(x, np.random.default_rng(1000 + s), L)
                 vals.append(rec.elbo().data.mean())
             return np.var(vals, ddof=1)
 
@@ -105,8 +103,8 @@ class TestForward:
             if not name.startswith("prior.") and name in sg_params:
                 t.data = sg_params[name].data.copy()
         x = np.random.default_rng(7).integers(0, 2, (3, 4)).astype(float)
-        rec_a = hvae_forward(x, sg, np.random.default_rng(42))
-        rec_b = hvae_forward(x, vamp, np.random.default_rng(42))
+        rec_a = sg.forward(x, np.random.default_rng(42))
+        rec_b = vamp.forward(x, np.random.default_rng(42))
         for field in ("log_px", "log_pz1", "log_qz1", "log_qz2"):
             np.testing.assert_array_equal(getattr(rec_a, field).data,
                                           getattr(rec_b, field).data)
@@ -250,8 +248,8 @@ class TestCheckpoints:
         save_checkpoint(model, path)
         loaded = load_checkpoint(path)
         x = np.random.default_rng(17).integers(0, 2, (2, 4)).astype(float)
-        rec_a = hvae_forward(x, model, np.random.default_rng(3))
-        rec_b = hvae_forward(x, loaded, np.random.default_rng(3))
+        rec_a = model.forward(x, np.random.default_rng(3))
+        rec_b = loaded.forward(x, np.random.default_rng(3))
         np.testing.assert_array_equal(rec_a.elbo().data, rec_b.elbo().data)
 
     def test_truncated_file_rejected(self, tmp_path):
