@@ -3,7 +3,10 @@
 A `Graph` is a tape: operations executed inside a ``with Graph():`` block
 append nodes in execution order, which is already a topological order.
 `backward` replays the tape in reverse, accumulating gradients into leaf
-tensors. Graphs are built per forward pass and discarded afterwards.
+tensors, so it must run inside the block. Leaving the block frees the tape:
+every recorded output drops its node, which breaks the output -> node ->
+graph -> nodes reference cycles, so reference counting releases a pass's
+intermediate arrays at once instead of the cyclic collector some time later.
 
 Broadcasting is deliberately narrow: two operands are compatible when their
 shapes are equal or one shape is a trailing suffix of the other (the smaller
@@ -38,6 +41,11 @@ def _active_graph() -> "Graph | None":
     return stack[-1] if stack else None
 
 
+def recording() -> bool:
+    """Whether this thread is inside a ``with Graph():`` block."""
+    return _active_graph() is not None
+
+
 def _ensure_finite(tag: str, data: Array) -> None:
     # one-pass screen; the exact check runs only when the sum misbehaves,
     # which also clears false alarms from benign summation overflow
@@ -48,7 +56,9 @@ def _ensure_finite(tag: str, data: Array) -> None:
 class Node:
     """One recorded operation: tag, input tensors, output, gradient rule."""
 
-    __slots__ = ("op", "inputs", "out", "grad_fn", "graph", "index")
+    # weak-referenceable so a test can watch a node die with its tape
+    __slots__ = ("op", "inputs", "out", "grad_fn", "graph", "index",
+                 "__weakref__")
 
     def __init__(self, op, inputs, out, grad_fn, graph, index):
         self.op = op
@@ -62,7 +72,8 @@ class Node:
 class Graph:
     """Tape of nodes recorded during one forward pass (define-by-run).
 
-    Confined to a single thread between entry and the matching `backward`.
+    Confined to a single thread between entry and the matching `backward`;
+    the tape is released on exit.
     """
 
     __slots__ = ("nodes",)
@@ -79,6 +90,9 @@ class Graph:
         if not stack or stack[-1] is not self:
             raise ContractError("graph context exited out of order")
         stack.pop()
+        for node in self.nodes:
+            node.out.node = None
+        self.nodes.clear()
 
 
 class Tensor:

@@ -59,6 +59,17 @@ DATASET_DEFAULTS = {
 VAL_SPLIT_SEED = 20236851
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts that must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 class _Once(argparse.Action):
     """Store an option value and reject a second occurrence."""
 
@@ -139,20 +150,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser("generate", help="decode prior samples to a "
                            "PGM grid")
     p_gen.add_argument("--checkpoint", required=True)
-    p_gen.add_argument("--n", type=int, default=25)
+    p_gen.add_argument("--n", type=_positive_int, default=25)
 
     p_rec = sub.add_parser("reconstruct", help="originals next to their "
                            "reconstructions as a PGM grid")
     _add_dataset_flags(p_rec)
     p_rec.add_argument("--checkpoint", required=True)
-    p_rec.add_argument("--n", type=int, default=25)
+    p_rec.add_argument("--n", type=_positive_int, default=25)
 
     p_ins = sub.add_parser("inspect-prior", help="render pseudo-inputs or "
                            "decoded mixture means")
     p_ins.add_argument("--checkpoint", required=True)
     p_ins.add_argument("--component", type=int,
                        help="also decode draws from one mixture component")
-    p_ins.add_argument("--n", type=int, default=25)
+    p_ins.add_argument("--n", type=_positive_int, default=25)
 
     for p in (p_train, p_eval, p_gen, p_rec, p_ins):
         p.add_argument("--seed", type=int, default=0)

@@ -29,6 +29,11 @@ INTENSITY_GRID_STEP = 1.0 / 255.0
 INTENSITY_BIN_WIDTH = 1.0 / 256.0
 PROB_FLOOR = 1e-7
 
+# Bytes of the buffer one block of the pairwise density works in (the
+# backward uses two): small enough to stay in a core's L2 cache instead of
+# streaming (B, K, M) temporaries through memory.
+PAIRWISE_BLOCK_BYTES = 640 * 1024
+
 
 class DiagGaussian:
     """Mean and log-variance of a diagonal Gaussian, batched on leading axes."""
@@ -67,31 +72,85 @@ def log_standard_normal(z: Tensor) -> Tensor:
     return (-0.5) * (z.square() + LOG_2PI).sum(axis=-1)
 
 
+def pairwise_block_rows(k: int, m: int) -> int:
+    """Rows of z per block of the pairwise density: as many (K, M) slabs as
+    fit in PAIRWISE_BLOCK_BYTES, and at least one."""
+    return max(1, PAIRWISE_BLOCK_BYTES // (8 * k * m))
+
+
+def _pairwise_diff(zd: np.ndarray, mean: np.ndarray, lo: int,
+                   buf: np.ndarray) -> np.ndarray:
+    """z_b - mean_k for the block of rows starting at `lo`, written into the
+    leading rows of `buf`."""
+    rows = zd[lo:lo + buf.shape[0], None, :]
+    return np.subtract(rows, mean, out=buf[:rows.shape[0]])
+
+
+def _accumulate_rows(acc: np.ndarray | None, block: np.ndarray) -> np.ndarray:
+    """Add the rows of `block` to `acc` one at a time in index order, as
+    numpy's axis-0 sum does. An empty accumulator is seeded with numpy's own
+    sum of the first row, so the sign of a zero comes out as it does there."""
+    start = 0
+    if acc is None:
+        acc, start = block[:1].sum(axis=0), 1
+    for row in block[start:]:
+        acc += row
+    return acc
+
+
 def log_normal_diag_pairwise(z: Tensor, p: DiagGaussian) -> Tensor:
     """(B, K) matrix of log N(z_b | mean_k, var_k) as one fused graph node.
 
     The arithmetic mirrors `log_normal_diag` term for term, so a K=1 column
     is bitwise equal to the plain density and rows permute exactly with the
     components. The fused form keeps mixture priors at O(1) graph nodes.
+
+    Forward and backward run over blocks of `pairwise_block_rows` rows of z
+    in one reused (rows, K, M) buffer, in the operation order of the
+    unblocked broadcast, so the bytes are those of the (B, K, M) form; the
+    backward recomputes the differences per block instead of keeping them.
     """
     if z.ndim != 2 or p.mean.ndim != 2:
         raise DimensionError("pairwise density expects (B, M) rows and "
                              "(K, M) components")
     _check_event_dim("log_normal_diag_pairwise", z, p)
     mean, log_var = p.mean, p.log_var
-    zd = z.data[:, None, :]                    # (B, 1, M)
-    lv = log_var.data[None, :, :]              # (1, K, M)
-    precision = np.exp(-log_var.data)          # (K, M)
-    diff = zd - mean.data[None, :, :]          # (B, K, M)
-    terms = (lv + diff * diff * precision) + LOG_2PI
-    out = (-0.5) * terms.sum(axis=-1)          # (B, K)
+    zd, mu, lv = z.data, mean.data, log_var.data
+    b, (k, m) = zd.shape[0], mu.shape
+    rows = pairwise_block_rows(k, m)
+    precision = np.exp(-lv)                    # (K, M)
+    buf = np.empty((min(rows, b), k, m))
+    out = np.empty((b, k))
+    for lo in range(0, b, rows):
+        terms = _pairwise_diff(zd, mu, lo, buf)
+        np.multiply(terms, terms, out=terms)
+        np.multiply(terms, precision, out=terms)
+        np.add(lv, terms, out=terms)
+        np.add(terms, LOG_2PI, out=terms)
+        np.sum(terms, axis=-1, out=out[lo:lo + terms.shape[0]])
+    out *= -0.5
 
     def grad_fn(g):
-        gw = g[:, :, None]                     # (B, K, 1)
-        weighted_diff = diff * precision
-        g_z = -(gw * weighted_diff).sum(axis=1)
-        g_mean = (gw * weighted_diff).sum(axis=0)
-        g_log_var = (gw * (-0.5 * (1.0 - diff * diff * precision))).sum(axis=0)
+        g_z = np.empty_like(zd)
+        g_mean = g_log_var = None
+        diff_buf, weighted_buf = np.empty_like(buf), np.empty_like(buf)
+        for lo in range(0, b, rows):
+            diff = _pairwise_diff(zd, mu, lo, diff_buf)
+            hi = lo + diff.shape[0]
+            gw = g[lo:hi, :, None]
+            weighted = np.multiply(diff, precision,
+                                   out=weighted_buf[:diff.shape[0]])
+            np.multiply(gw, weighted, out=weighted)
+            np.negative(weighted.sum(axis=1), out=g_z[lo:hi])
+            g_mean = _accumulate_rows(g_mean, weighted)
+            np.multiply(diff, diff, out=diff)
+            np.multiply(diff, precision, out=diff)
+            np.subtract(1.0, diff, out=diff)
+            np.multiply(-0.5, diff, out=diff)
+            np.multiply(gw, diff, out=diff)
+            g_log_var = _accumulate_rows(g_log_var, diff)
+        if b == 0:
+            g_mean, g_log_var = np.zeros((k, m)), np.zeros((k, m))
         return g_z, g_mean, g_log_var
 
     return ad.apply_op("normal_logpdf_pairwise", out, (z, mean, log_var),

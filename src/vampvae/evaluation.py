@@ -15,6 +15,7 @@ import numpy as np
 from .autodiff import Tensor
 from .errors import ContractError
 from .models import Vae
+from .priors import fixed_components
 
 DEFAULT_IS_CHUNK = 500
 
@@ -53,7 +54,8 @@ def per_example_log_likelihood(model, data: np.ndarray, s: int, seed: int,
     """IS log-likelihood per dataset row, reduced in index order.
 
     Each row gets its own generator spawned from `seed`, so the result is
-    identical for any worker count.
+    identical for any worker count. The prior's mixture components are
+    computed once for the whole call, before any worker starts.
     """
     data = np.asarray(data, dtype=np.float64)
     if data.ndim != 2 or data.shape[0] == 0:
@@ -64,10 +66,11 @@ def per_example_log_likelihood(model, data: np.ndarray, s: int, seed: int,
         return is_log_likelihood(data[i], model, s,
                                  np.random.default_rng(seqs[i]), chunk_size)
 
-    if workers <= 1:
-        return np.array([one(i) for i in range(data.shape[0])])
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return np.array(list(pool.map(one, range(data.shape[0]))))
+    with fixed_components(model.prior):
+        if workers <= 1:
+            return np.array([one(i) for i in range(data.shape[0])])
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return np.array(list(pool.map(one, range(data.shape[0]))))
 
 
 def bits_per_dim(mean_ll_nats: float, d: int) -> float:

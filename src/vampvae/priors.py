@@ -12,6 +12,7 @@ result exactly invariant to component permutation.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,7 +44,23 @@ class StandardGaussian(Module):
         return log_standard_normal(z)
 
 
-class MixtureOfGaussians(Module):
+class _Mixture(Module):
+    """A prior whose density is a mixture over `components()`."""
+
+    # the components computed once by `fixed_components`; set on the
+    # instance only inside that block
+    _fixed: DiagGaussian | None = None
+
+    def _current_components(self) -> DiagGaussian:
+        if self._fixed is None:
+            return self.components()
+        if ad.recording():
+            raise ContractError("fixed mixture components used while a "
+                                "graph records")
+        return self._fixed
+
+
+class MixtureOfGaussians(_Mixture):
     """Uniform mixture of K diagonal Gaussians with trainable parameters."""
 
     tag = "mog"
@@ -73,10 +90,10 @@ class MixtureOfGaussians(Module):
         return DiagGaussian(self.means, self.log_vars)
 
     def log_prob(self, z: Tensor) -> Tensor:
-        return _mixture_log_prob(z, self.components(), None)
+        return _mixture_log_prob(z, self._current_components(), None)
 
 
-class VampPrior(Module):
+class VampPrior(_Mixture):
     """Mixture of variational posteriors at K trainable pseudo-inputs.
 
     Pseudo-inputs are stored unconstrained; when `squash` is set they pass
@@ -122,7 +139,8 @@ class VampPrior(Module):
         return None
 
     def log_prob(self, z: Tensor) -> Tensor:
-        return _mixture_log_prob(z, self.components(), self._log_weights())
+        return _mixture_log_prob(z, self._current_components(),
+                                 self._log_weights())
 
 
 class VampDataPrior(VampPrior):
@@ -186,6 +204,31 @@ def _mixture_log_prob(z: Tensor, comps: DiagGaussian,
         # the unweighted density bitwise
         log_weights = Tensor(np.full(k, -np.log(float(k))))
     return ad.add(mat, log_weights).logsumexp(axis=1)
+
+
+@contextmanager
+def fixed_components(prior):
+    """Compute a mixture prior's components once; every `log_prob` inside
+    the block reuses them, from any thread.
+
+    For passes that record no graph and change no parameter, such as
+    evaluation: entering while a graph records, or calling `log_prob` inside
+    a graph, is a ContractError. The components are computed before the
+    block starts and dropped when it ends, exceptions included; they are not
+    a Tensor attribute, so `parameters()` and checkpoints never see them. A
+    prior without components, or one already fixed, passes through.
+    """
+    if not isinstance(prior, _Mixture) or prior._fixed is not None:
+        yield
+        return
+    if ad.recording():
+        raise ContractError("cannot fix mixture components while a graph "
+                            "records")
+    prior._fixed = prior.components()
+    try:
+        yield
+    finally:
+        del prior._fixed
 
 
 def log_prior(z: Tensor, spec) -> Tensor:

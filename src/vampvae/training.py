@@ -15,6 +15,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Graph, Tensor, backward
 from .errors import ContractError, DomainError
+from .priors import fixed_components
 
 # gradient blocks with L2 norm below this are skipped entirely
 GRAD_NORM_FLOOR = 1e-12
@@ -112,13 +113,15 @@ def dynamic_binarize(batch: np.ndarray, rng) -> np.ndarray:
 
 def validation_elbo(model, data: np.ndarray, rng, mc_samples: int = 1,
                     batch_size: int = 100) -> float:
-    """Mean ELBO (beta = 1) over a dataset, evaluated without recording."""
+    """Mean ELBO (beta = 1) over a dataset, evaluated without recording; the
+    prior's mixture components are computed once for all batches."""
     data = np.asarray(data, dtype=np.float64)
     total = 0.0
-    for start in range(0, data.shape[0], batch_size):
-        rows = data[start:start + batch_size]
-        rec = model.forward(rows, rng, mc_samples)
-        total += float(rec.elbo().data.sum())
+    with fixed_components(model.prior):
+        for start in range(0, data.shape[0], batch_size):
+            rows = data[start:start + batch_size]
+            rec = model.forward(rows, rng, mc_samples)
+            total += float(rec.elbo().data.sum())
     return total / data.shape[0]
 
 

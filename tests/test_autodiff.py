@@ -1,6 +1,8 @@
 """Tests for the reverse-mode autodiff core."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -124,6 +126,31 @@ class TestBackward:
             with Graph():
                 backward((w * w).sum())
         np.testing.assert_array_equal(w.grad, [8.0])
+
+
+class TestTapeRelease:
+    def test_tape_is_freed_without_the_cyclic_collector(self):
+        gc.disable()
+        try:
+            w = Tensor([1.0, 2.0], requires_grad=True)
+            with Graph() as graph:
+                loss = (w * w).sum()
+                first = weakref.ref(graph.nodes[0])
+                last = weakref.ref(loss.node)
+                backward(loss)
+            assert first() is None and last() is None
+            assert graph.nodes == [] and loss.node is None
+        finally:
+            gc.enable()
+        np.testing.assert_array_equal(w.grad, [2.0, 4.0])
+        assert loss.item() == 5.0
+
+    def test_backward_after_the_block_is_a_contract_error(self):
+        w = Tensor([1.0], requires_grad=True)
+        with Graph():
+            loss = (w * w).sum()
+        with pytest.raises(ContractError):
+            backward(loss)
 
 
 UNARY_OPS = [

@@ -234,6 +234,25 @@ class TestReconstruct:
         assert img.shape == (single, 2 * single + 2 * GRID_MARGIN)
 
 
+class TestCountFlag:
+    @pytest.mark.parametrize("command", ["generate", "reconstruct",
+                                         "inspect-prior"])
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_non_positive_n_is_usage_error(self, trained, tmp_path, capsys,
+                                           command, n):
+        out = tmp_path / "out"
+        argv = [command, "--checkpoint", str(trained / "checkpoint_best.ckpt"),
+                "--n", n, "--outdir", str(out)]
+        if command == "reconstruct":
+            argv += TINY_DATA
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:") and "--n" in err
+        assert not out.exists()
+
+
 class TestInspectPrior:
     def test_vamp_pseudo_inputs_and_component(self, trained, tmp_path):
         out = tmp_path / "ins"

@@ -1,9 +1,13 @@
 """Tests for the IDX / raw-matrix loaders, splits, and synthetic data."""
 
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vampvae.datasets import (
     Dataset,
@@ -217,3 +221,58 @@ class TestDatasetInvariants:
         with pytest.raises(DomainError):
             Dataset("x", 2, np.array([[0.5, 0.0]]), np.zeros((1, 2)),
                     np.zeros((1, 2)), "static", (1, 2))
+
+
+# -- single-byte mutations: every mutated file loads or raises FormatError --
+
+def _idx_blob() -> bytes:
+    images = np.arange(3 * 2 * 2).reshape(3, 2, 2) * 20
+    return (struct.pack(">IIII", 0x00000803, 3, 2, 2)
+            + images.astype(np.uint8).tobytes())
+
+
+def _raw_blob() -> bytes:
+    rows = np.random.default_rng(0).uniform(0.0, 1.0, (3, 4))
+    return b"3 4\n" + rows.astype("<f8").tobytes()
+
+
+IDX_BLOB = _idx_blob()
+RAW_BLOB = _raw_blob()
+RAW_HEADER_END = RAW_BLOB.index(b"\n") + 1
+
+# small counts reach the IDX header's corners, and digits, blanks and
+# newlines the raw header parser's, far more often than uniform bytes do
+BYTES = st.one_of(st.sampled_from([0, 1, 2, 3, 255, *b"0123459 \n\t"]),
+                  st.integers(0, 255))
+
+
+def _loads_or_format_error(blob: bytes, position: int, value: int,
+                           load) -> None:
+    mutated = bytearray(blob)
+    mutated[position] = value
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "m.bin"
+        path.write_bytes(bytes(mutated))
+        try:
+            load(path)
+        except FormatError:
+            pass
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(st.one_of(st.integers(0, 15), st.integers(0, len(IDX_BLOB) - 1)),
+       BYTES)
+def test_idx_single_byte_mutation_loads_or_raises_format_error(position,
+                                                               value):
+    # half the positions are drawn from the 16 header bytes, where the
+    # parsing happens
+    _loads_or_format_error(IDX_BLOB, position, value, load_idx)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(st.one_of(st.integers(0, RAW_HEADER_END - 1),
+                 st.integers(0, len(RAW_BLOB) - 1)), BYTES)
+def test_raw_single_byte_mutation_loads_or_raises_format_error(position,
+                                                               value):
+    _loads_or_format_error(RAW_BLOB, position, value,
+                           lambda path: load_raw_matrix(path, 4))

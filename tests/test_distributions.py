@@ -250,6 +250,85 @@ class TestPairwiseDensity:
                 Tensor(np.zeros(3)), _gauss(np.zeros((2, 3)), np.zeros((2, 3))))
 
 
+def _unblocked_pairwise(z, mean, log_var, g):
+    """The pairwise density and its gradients as one (B, K, M) broadcast:
+    the formula before blocking, kept as the bitwise reference."""
+    precision = np.exp(-log_var)
+    diff = z[:, None, :] - mean[None, :, :]
+    terms = (log_var[None, :, :] + diff * diff * precision) + LOG_2PI
+    out = (-0.5) * terms.sum(axis=-1)
+    gw = g[:, :, None]
+    weighted_diff = diff * precision
+    g_z = -(gw * weighted_diff).sum(axis=1)
+    g_mean = (gw * weighted_diff).sum(axis=0)
+    g_log_var = (gw * (-0.5 * (1.0 - diff * diff * precision))).sum(axis=0)
+    return out, g_z, g_mean, g_log_var
+
+
+def _assert_same_bits(got, want):
+    # assert_array_equal alone treats -0.0 and 0.0 as equal
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+class TestBlockedPairwise:
+    M = 40
+
+    @staticmethod
+    def _blocked(z, mean, log_var, g):
+        with Graph():
+            out = dist.log_normal_diag_pairwise(
+                Tensor(z, requires_grad=True),
+                DiagGaussian(Tensor(mean, requires_grad=True),
+                             Tensor(log_var, requires_grad=True)))
+            return (out.data, *out.node.grad_fn(g))
+
+    @pytest.mark.parametrize("k", [1, 3, 500])
+    @pytest.mark.parametrize("b_offset", ["one", -1, 0, 1, "101"])
+    def test_forward_and_gradients_match_the_unblocked_formula(self, k,
+                                                               b_offset):
+        rows = dist.pairwise_block_rows(k, self.M)
+        b = {"one": 1, "101": 101}.get(b_offset) or rows + b_offset
+        rng = np.random.default_rng(1000 + k + b)
+        z = rng.standard_normal((b, self.M))
+        mean = rng.standard_normal((k, self.M))
+        log_var = rng.uniform(-2.0, 2.0, (k, self.M))
+        g = rng.standard_normal((b, k))
+        got = self._blocked(z, mean, log_var, g)
+        for a, w in zip(got, _unblocked_pairwise(z, mean, log_var, g)):
+            _assert_same_bits(a, w)
+
+    def test_signed_zeros_in_the_gradients_match(self):
+        # a zero upstream gradient makes every term of a sum a signed zero
+        k = 500
+        b = 2 * dist.pairwise_block_rows(k, self.M) + 1
+        rng = np.random.default_rng(7)
+        z = rng.standard_normal((b, self.M))
+        mean = z[0] + 1.0 + rng.uniform(0.0, 1.0, (k, self.M))
+        log_var = rng.uniform(-1.0, 1.0, (k, self.M))
+        g = rng.standard_normal((b, k))
+        g[:, :3] = 0.0
+        g[4] = 0.0
+        got = self._blocked(z, mean, log_var, g)
+        want = _unblocked_pairwise(z, mean, log_var, g)
+        assert np.signbit(want[1][4]).all()
+        for a, w in zip(got, want):
+            _assert_same_bits(a, w)
+
+    def test_block_rows_follow_the_byte_budget(self):
+        assert dist.pairwise_block_rows(500, 40) * 500 * 40 * 8 \
+            <= dist.PAIRWISE_BLOCK_BYTES
+        assert dist.pairwise_block_rows(10**6, 40) == 1
+
+    def test_empty_batch(self):
+        mean, log_var = np.zeros((3, 2)), np.zeros((3, 2))
+        out, g_z, g_mean, g_log_var = self._blocked(
+            np.zeros((0, 2)), mean, log_var, np.zeros((0, 3)))
+        assert out.shape == (0, 3) and g_z.shape == (0, 2)
+        np.testing.assert_array_equal(g_mean, np.zeros((3, 2)))
+        np.testing.assert_array_equal(g_log_var, np.zeros((3, 2)))
+
+
 class TestKlAndEntropy:
     def test_entropy_standard_normal(self):
         p = _gauss(np.zeros(3), np.zeros(3))

@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from scipy import stats
 from scipy.special import logsumexp as scipy_lse
 
 from helpers import LinearGaussianModel, zero_parameters
-from vampvae.autodiff import Tensor
+from vampvae.autodiff import Graph, Tensor, backward
 from vampvae.datasets import synth_clusters
 from vampvae.distributions import DiagGaussian
 from vampvae.errors import ContractError
@@ -24,9 +25,16 @@ from vampvae.evaluation import (
     ll_histogram,
     per_example_log_likelihood,
 )
-from vampvae.models import build_model
-from vampvae.priors import cross_entropy_to_prior
-from vampvae.training import TrainConfig, fit
+from vampvae.models import build_model, save_checkpoint
+from vampvae.priors import cross_entropy_to_prior, fixed_components
+from vampvae.training import (
+    AdamState,
+    TrainConfig,
+    fit,
+    objective,
+    step,
+    validation_elbo,
+)
 
 from test_models import tiny_model
 
@@ -131,6 +139,139 @@ class TestPerExampleLogLikelihood:
         a = per_example_log_likelihood(model, data, 10, seed=3)
         b = per_example_log_likelihood(model, data, 10, seed=3)
         np.testing.assert_array_equal(a, b)
+
+
+class TestOncePerCallComponents:
+    """`per_example_log_likelihood` and `validation_elbo` compute the prior's
+    mixture components once per call instead of once per chunk or batch."""
+
+    S, CHUNK, SEED = 12, 5, 8
+
+    @pytest.fixture
+    def model(self):
+        return tiny_model(2, "vamp", seed=31)
+
+    @pytest.fixture
+    def data(self):
+        return np.random.default_rng(32).integers(0, 2, (5, 4)).astype(float)
+
+    def _direct(self, model, data):
+        # one is_log_likelihood call per row: re-encodes on every chunk
+        seqs = np.random.SeedSequence(self.SEED).spawn(data.shape[0])
+        return np.array([
+            is_log_likelihood(data[i], model, self.S,
+                              np.random.default_rng(seqs[i]), self.CHUNK)
+            for i in range(data.shape[0])])
+
+    def _per_example(self, model, data, workers=1):
+        return per_example_log_likelihood(model, data, self.S, self.SEED,
+                                          workers=workers,
+                                          chunk_size=self.CHUNK)
+
+    @staticmethod
+    def _count_encodes(model, monkeypatch) -> list:
+        calls = []
+        encode = model.prior.encoder
+
+        def counting(x):
+            calls.append(x.shape)
+            return encode(x)
+
+        monkeypatch.setattr(model.prior, "encoder", counting)
+        return calls
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_bitwise_equal_to_re_encoding_calls(self, model, data, workers):
+        want = self._direct(model, data)
+        # more workers than cores, switching threads as often as possible:
+        # every worker reads the one set of fixed components
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = self._per_example(model, data, workers)
+        finally:
+            sys.setswitchinterval(interval)
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_prior_encoder_runs_once_per_call(self, model, data,
+                                              monkeypatch):
+        calls = self._count_encodes(model, monkeypatch)
+        self._direct(model, data)
+        chunks = -(-self.S // self.CHUNK) * data.shape[0]
+        assert len(calls) == chunks
+        calls.clear()
+        self._per_example(model, data, workers=2)
+        assert calls == [(model.prior.k, 4)]
+        calls.clear()
+        validation_elbo(model, data, np.random.default_rng(0), batch_size=2)
+        assert len(calls) == 1
+
+    def test_validation_elbo_matches_per_batch_re_encoding(self, model, data):
+        want = 0.0
+        rng = np.random.default_rng(3)
+        for start in range(0, data.shape[0], 2):
+            rec = model.forward(data[start:start + 2], rng, 2)
+            want += float(rec.elbo().data.sum())
+        want /= data.shape[0]
+        got = validation_elbo(model, data, np.random.default_rng(3),
+                              mc_samples=2, batch_size=2)
+        assert got == want
+
+    def test_no_components_left_after_an_exception_in_the_pool(
+            self, model, data, monkeypatch):
+        class Boom(Exception):
+            pass
+
+        weight = model.log_importance_weight
+
+        def failing(x, rng):
+            if np.array_equal(x[0], data[3]):
+                raise Boom()
+            return weight(x, rng)
+
+        monkeypatch.setattr(model, "log_importance_weight", failing)
+        with pytest.raises(Boom):
+            self._per_example(model, data, workers=2)
+        assert "_fixed" not in vars(model.prior)
+        calls = self._count_encodes(model, monkeypatch)
+        model.prior.log_prob(Tensor(np.zeros((2, model.spec.latent2))))
+        assert len(calls) == 1
+
+    def test_parameters_and_checkpoint_bytes_unchanged(self, model,
+                                                       tmp_path):
+        before = model.parameters()
+        save_checkpoint(model, tmp_path / "before.ckpt")
+        with fixed_components(model.prior):
+            inside = model.parameters()
+            save_checkpoint(model, tmp_path / "inside.ckpt")
+        assert list(inside) == list(before)
+        assert all(inside[k] is before[k] for k in before)
+        assert (tmp_path / "inside.ckpt").read_bytes() \
+            == (tmp_path / "before.ckpt").read_bytes()
+        assert "_fixed" not in vars(model.prior)
+
+    def test_training_step_after_evaluate_uses_fresh_components(
+            self, model, data):
+        first = self._per_example(model, data)
+        trainable = {k: p for k, p in model.parameters().items()
+                     if p.requires_grad}
+        with Graph():
+            backward(objective(data, model, 1.0, np.random.default_rng(4)))
+        step(trainable, AdamState(trainable), 1e-2)
+        second = self._per_example(model, data)
+        assert not np.array_equal(first, second)
+        np.testing.assert_array_equal(second, self._direct(model, data))
+
+    def test_fixed_components_refuse_a_recording_graph(self, model):
+        z = Tensor(np.zeros((2, model.spec.latent2)))
+        with Graph():
+            with pytest.raises(ContractError):
+                with fixed_components(model.prior):
+                    pass
+        with fixed_components(model.prior):
+            with Graph():
+                with pytest.raises(ContractError):
+                    model.prior.log_prob(z)
 
 
 class TestBitsPerDim:
