@@ -327,7 +327,9 @@ def matmul(a, b) -> Tensor:
     a_data, b_data = a.data, b.data
 
     def grad_fn(g):
-        return g @ b_data.T, a_data.T @ g
+        # an operand without requires_grad (a data matrix) gets no gradient
+        return (g @ b_data.T if a.requires_grad else None,
+                a_data.T @ g if b.requires_grad else None)
 
     return apply_op("matmul", out, (a, b), grad_fn)
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -18,7 +19,7 @@ import numpy as np
 
 from . import datasets as ds_mod
 from . import evaluation, pgm, training
-from .errors import VampVaeError
+from .errors import FormatError, VampVaeError
 from .models import (
     ModelSpec,
     build_model,
@@ -70,6 +71,18 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _positive_float(text: str) -> float:
+    """argparse type for a finite scale factor greater than 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"must be finite and greater than "
+                                         f"0, got {text!r}")
+    return value
+
+
 class _Once(argparse.Action):
     """Store an option value and reject a second occurrence."""
 
@@ -92,7 +105,7 @@ def _add_dataset_flags(p: argparse.ArgumentParser) -> None:
     g.add_argument("--data-format", choices=("idx", "raw"),
                    help="file format (default: idx for MNIST, raw otherwise)")
     g.add_argument("--dim", type=int, help="row width for raw matrices")
-    g.add_argument("--scale", type=float, default=1.0,
+    g.add_argument("--scale", type=_positive_float, default=1.0,
                    help="raw-matrix intensity scale (e.g. 1/255)")
     g.add_argument("--val-rows", type=int,
                    help="validation rows drawn from the training split")
@@ -172,11 +185,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_named_matrix(path, fmt: str, dim, scale: float) -> np.ndarray:
-    if fmt == "idx":
-        return ds_mod.load_idx(path)
-    if dim is None:
+    if fmt != "idx" and dim is None:
         raise VampVaeError("raw matrices need --dim")
-    return ds_mod.load_raw_matrix(path, dim, scale)
+    try:
+        if fmt == "idx":
+            return ds_mod.load_idx(path)
+        return ds_mod.load_raw_matrix(path, dim, scale)
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
 
 
 def load_dataset(args) -> ds_mod.Dataset:

@@ -11,6 +11,7 @@ Two wire formats are understood:
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -75,9 +76,12 @@ def load_idx(images_path) -> np.ndarray:
 
 
 def load_raw_matrix(path, dim: int, scale: float = 1.0) -> np.ndarray:
-    """Load little-endian float64 rows; values are scaled then clamped to [0, 1]."""
+    """Load little-endian float64 rows; values are scaled then clamped to
+    [0, 1]. A NaN or infinite value is a FormatError at its byte offset."""
     if dim < 1:
         raise ContractError("dim must be positive")
+    if not (math.isfinite(scale) and scale > 0.0):
+        raise ContractError(f"scale must be finite and positive, got {scale}")
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) == 0:
@@ -106,6 +110,10 @@ def load_raw_matrix(path, dim: int, scale: float = 1.0) -> np.ndarray:
                           offset=offset)
     matrix = np.frombuffer(blob, dtype="<f8",
                            offset=offset).reshape(n, dim).astype(np.float64)
+    bad = np.flatnonzero(~np.isfinite(matrix))
+    if bad.size:
+        raise FormatError(f"non-finite value {matrix.flat[bad[0]]} in row "
+                          f"{bad[0] // dim}", offset=offset + 8 * int(bad[0]))
     return np.clip(matrix * scale, 0.0, 1.0)
 
 

@@ -30,19 +30,25 @@ def is_log_likelihood(x: np.ndarray, model, s: int, rng,
     """Importance-sampled log p(x) for one example with S posterior samples.
 
     Samples are drawn in chunks with a running log-sum-exp, so memory stays
-    proportional to the chunk size rather than S.
+    proportional to the chunk size rather than S. A model with `encode_x`
+    encodes the repeated row once per distinct chunk length (the full chunk
+    and the tail) and reuses that encoding for every chunk of its length:
+    the same input bytes and shape give the same bits as encoding per chunk.
     """
     if s < 1:
         raise ContractError("importance sampling needs at least one sample")
     if chunk_size < 1:
         raise ContractError("chunk_size must be at least 1")
     x = np.asarray(x, dtype=np.float64).reshape(1, -1)
+    encode = getattr(model, "encode_x", lambda batch: batch)
+    encoded = {}
     partials = []
     remaining = s
     while remaining > 0:
         c = min(chunk_size, remaining)
-        rep = np.repeat(x, c, axis=0)
-        weights = model.log_importance_weight(rep, rng)
+        if c not in encoded:
+            encoded[c] = encode(np.repeat(x, c, axis=0))
+        weights = model.log_importance_weight(encoded[c], rng)
         partials.append(_lse(weights))
         remaining -= c
     return _lse(np.asarray(partials)) - math.log(s)
@@ -101,8 +107,8 @@ def elbo_decomposition(data: np.ndarray, model, samples_per_x: int, rng,
     `entropy_mode="analytic"` uses the closed-form diagonal-Gaussian entropy;
     `"sampled"` uses -log q at the drawn latents, which makes `elbo_sum`
     coincide with the direct Monte Carlo objective under common random
-    numbers. Each sample is one `Model.forward` pass, so the noise order is
-    the model's own.
+    numbers. The batch is encoded once; each sample is one `Model.forward`
+    pass over that encoding, so the noise order is the model's own.
     """
     if samples_per_x < 1:
         raise ContractError("samples_per_x must be at least 1")
@@ -111,7 +117,7 @@ def elbo_decomposition(data: np.ndarray, model, samples_per_x: int, rng,
     data = np.asarray(data, dtype=np.float64)
     if data.ndim != 2 or data.shape[0] == 0:
         raise ContractError("need a non-empty (N, D) matrix")
-    x = Tensor(data)
+    x = model.encode_x(data)
     n = data.shape[0]
     recon = np.zeros(n)
     entropy = np.zeros(n)

@@ -230,10 +230,39 @@ class Generation:
     components: np.ndarray | None = None
 
 
-def _checked_batch(x, spec: ModelSpec, mc_samples: int) -> Tensor:
-    """The checks both forward passes share; returns x as a (B, D) tensor."""
-    if mc_samples < 1:
-        raise ContractError("mc_samples must be at least 1")
+class _Encoding:
+    """Indexes like the (B, D) batch it encodes and has its shape, so a
+    caller that looks at the rows handed to `log_importance_weight` sees
+    the data."""
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self.x.shape
+
+    def __getitem__(self, index):
+        return self.x.data[index]
+
+
+@dataclass(frozen=True)
+class VaeEncoding(_Encoding):
+    """The part of a one-level forward pass that depends only on x."""
+
+    x: Tensor
+    q: DiagGaussian
+
+
+@dataclass(frozen=True)
+class HvaeEncoding(_Encoding):
+    """The part of a two-level forward pass that depends only on x: q(z2 | x)
+    and the x path of q(z1 | x, z2)."""
+
+    x: Tensor
+    q2: DiagGaussian
+    x_path: Tensor
+
+
+def _checked_batch(x, spec: ModelSpec) -> Tensor:
+    """The checks both encoders share; returns x as a (B, D) tensor."""
     t = x if isinstance(x, Tensor) else Tensor(x)
     if t.ndim == 1:
         t = t.reshape((1, t.shape[0]))
@@ -242,6 +271,14 @@ def _checked_batch(x, spec: ModelSpec, mc_samples: int) -> Tensor:
     if t.shape[1] != spec.data_dim:
         raise DimensionError(f"data dim {t.shape[1]} != {spec.data_dim}")
     return t
+
+
+def _encoded(model, x, mc_samples: int, kind):
+    """forward's input as an encoding: an encoding of `kind` as given, any
+    other batch through `model.encode_x`."""
+    if mc_samples < 1:
+        raise ContractError("mc_samples must be at least 1")
+    return x if isinstance(x, kind) else model.encode_x(x)
 
 
 def _average(terms: list[Tensor]) -> Tensor:
@@ -279,9 +316,15 @@ class Vae(Module):
     def prior_level_posterior(self, x: Tensor) -> DiagGaussian:
         return self.encode(x)
 
+    def encode_x(self, x) -> VaeEncoding:
+        x = _checked_batch(x, self.spec)
+        return VaeEncoding(x, self.encode(x))
+
     def forward(self, x, rng, mc_samples: int = 1) -> VaeRecord:
-        x = _checked_batch(x, self.spec, mc_samples)
-        q = self.encode(x)
+        """The objective's terms for a batch or its `encode_x` encoding; the
+        encoding can be reused, as the samples are drawn here."""
+        enc = _encoded(self, x, mc_samples, VaeEncoding)
+        x, q = enc.x, enc.q
         log_px, log_pz, log_qz = [], [], []
         z = None
         for _ in range(mc_samples):
@@ -351,11 +394,16 @@ class Hvae(Module):
     def prior_level_posterior(self, x: Tensor) -> DiagGaussian:
         return self.encode_top(x)
 
+    def encode_x(self, x) -> HvaeEncoding:
+        x = _checked_batch(x, self.spec)
+        return HvaeEncoding(x, self.encode_top(x), self.enc_z1_x(x))
+
     def forward(self, x, rng, mc_samples: int = 1) -> HvaeRecord:
-        x = _checked_batch(x, self.spec, mc_samples)
+        """The objective's terms for a batch or its `encode_x` encoding; the
+        encoding can be reused, as the samples are drawn here."""
+        enc = _encoded(self, x, mc_samples, HvaeEncoding)
+        x, q2, x_path = enc.x, enc.q2, enc.x_path
         b = x.shape[0]
-        q2 = self.encode_top(x)
-        x_path = self.enc_z1_x(x)
         logs: dict[str, list[Tensor]] = {k: [] for k in
                                          ("px", "pz2", "pz1", "qz2", "qz1")}
         z1 = z2 = q1 = None

@@ -20,6 +20,10 @@ from .priors import fixed_components
 # gradient blocks with L2 norm below this are skipped entirely
 GRAD_NORM_FLOOR = 1e-12
 
+# elements per slice of the in-place Adam update, so its two scratch
+# buffers stay in cache; of 4K, 16K, 64K and 256K, 64K timed fastest
+ADAM_CHUNK = 65_536
+
 
 @dataclass
 class TrainConfig:
@@ -53,9 +57,9 @@ class AdamState:
         self.beta2 = beta2
         self.eps = eps
         self.step = 0
-        self.m = {k: np.zeros_like(p.data) for k, p in params.items()
+        self.m = {k: np.zeros(p.shape) for k, p in params.items()
                   if p.requires_grad}
-        self.v = {k: np.zeros_like(p.data) for k, p in params.items()
+        self.v = {k: np.zeros(p.shape) for k, p in params.items()
                   if p.requires_grad}
 
 
@@ -79,12 +83,22 @@ def step(params: dict[str, Tensor], opt: AdamState, lr: float) -> None:
     """One update: rescale each block's gradient to unit L2 norm, then Adam.
 
     Blocks whose gradient norm is below the floor are left untouched,
-    moments included.
+    moments included. The norm is one sum over the whole block; the update
+    runs in place over slices of ADAM_CHUNK elements, in the op order of
+
+        g = grad / norm
+        m = beta1 m + (1 - beta1) g
+        v = beta2 v + ((1 - beta2) g) g
+        p = p - lr (m / corr1) / (sqrt(v / corr2) + eps)
+
+    so parameters and moments hold the same bits as the whole-array form.
     """
     opt.step += 1
     t = opt.step
     corr1 = 1.0 - opt.beta1 ** t
     corr2 = 1.0 - opt.beta2 ** t
+    a = np.empty(ADAM_CHUNK)
+    b = np.empty(ADAM_CHUNK)
     for name, p in params.items():
         if not p.requires_grad:
             continue
@@ -93,14 +107,26 @@ def step(params: dict[str, Tensor], opt: AdamState, lr: float) -> None:
         norm = float(np.sqrt((p.grad * p.grad).sum()))
         if norm < GRAD_NORM_FLOOR:
             continue
-        g = p.grad / norm
-        m = opt.m[name]
-        v = opt.v[name]
-        m *= opt.beta1
-        m += (1.0 - opt.beta1) * g
-        v *= opt.beta2
-        v += (1.0 - opt.beta2) * g * g
-        p.data = p.data - lr * (m / corr1) / (np.sqrt(v / corr2) + opt.eps)
+        # reshape(-1) views a C-contiguous array; the moments always are
+        p.data = np.require(p.data, requirements="CW")
+        grad, w = p.grad.reshape(-1), p.data.reshape(-1)
+        m, v = opt.m[name].reshape(-1), opt.v[name].reshape(-1)
+        for lo in range(0, w.size, ADAM_CHUNK):
+            hi = min(lo + ADAM_CHUNK, w.size)
+            g, s = a[:hi - lo], b[:hi - lo]
+            mc, vc, wc = m[lo:hi], v[lo:hi], w[lo:hi]
+            np.divide(grad[lo:hi], norm, out=g)
+            mc *= opt.beta1
+            mc += np.multiply(1.0 - opt.beta1, g, out=s)
+            vc *= opt.beta2
+            np.multiply(1.0 - opt.beta2, g, out=s)
+            vc += np.multiply(s, g, out=s)
+            np.divide(mc, corr1, out=g)
+            np.multiply(lr, g, out=g)
+            np.divide(vc, corr2, out=s)
+            np.sqrt(s, out=s)
+            np.add(s, opt.eps, out=s)
+            wc -= np.divide(g, s, out=g)
 
 
 def dynamic_binarize(batch: np.ndarray, rng) -> np.ndarray:

@@ -249,6 +249,27 @@ def _gated_mlp_scalar(params):
     return ad.tanh(h @ w3 + b3).sum()
 
 
+class TestMatmulOperandGradients:
+    """`matmul` computes no gradient for an operand that does not require
+    one; the other operand's gradient keeps its bits."""
+
+    def test_data_operand_gets_none(self):
+        rng = np.random.default_rng(5)
+        x = Tensor(rng.standard_normal((6, 4)))
+        w = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
+        g = rng.standard_normal((6, 3))
+        with Graph():
+            out = x @ w
+            gx, gw = out.node.grad_fn(g)
+        assert gx is None
+        np.testing.assert_array_equal(gw.view(np.int64),
+                                      (x.data.T @ g).view(np.int64))
+        with Graph():
+            out = w @ Tensor(rng.standard_normal((3, 6)))
+            gw, gy = out.node.grad_fn(rng.standard_normal((4, 6)))
+        assert gw is not None and gy is None
+
+
 class TestCompositions:
     def test_gated_mlp_matches_finite_differences(self):
         rng = np.random.default_rng(21)

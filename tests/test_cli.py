@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from vampvae import cli
+from vampvae.datasets import save_raw_matrix
 from vampvae.models import load_checkpoint
 from vampvae.pgm import GRID_MARGIN, read_pgm
 from vampvae.training import TrainConfig, prepare_validation, validation_elbo
@@ -290,3 +291,55 @@ class TestInspectPrior:
         assert cli.main(argv) == 0
         assert (out / "mog_means.pgm").exists()
         assert (out / "component_0.pgm").exists()
+
+
+class TestRawMatrixInput:
+    """A bad raw-matrix payload or `--scale` fails with the documented exit
+    code and says what is wrong."""
+
+    @staticmethod
+    def _files(tmp_path, poison=None):
+        rng = np.random.default_rng(3)
+        paths = {}
+        for split in ("train", "test"):
+            matrix = rng.uniform(0, 1, (30, 4))
+            if split == "train" and poison is not None:
+                matrix[7, 2] = poison
+            paths[split] = tmp_path / f"{split}.raw"
+            save_raw_matrix(matrix, paths[split])
+        return paths
+
+    def _train_argv(self, paths, out, *extra):
+        return (["train", "--dataset", "raw", "--train-path",
+                 str(paths["train"]), "--test-path", str(paths["test"]),
+                 "--dim", "4", "--levels", "1", "--prior", "sg"]
+                + ["--m1", "3", "--hidden", "8"]
+                + ["--max-epochs", "1", "--outdir", str(out), *extra])
+
+    @pytest.mark.parametrize("poison", [np.nan, np.inf])
+    def test_non_finite_payload_names_file_and_offset(self, tmp_path,
+                                                      capsys, poison):
+        paths = self._files(tmp_path, poison)
+        assert cli.main(self._train_argv(paths, tmp_path / "out")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(paths["train"]) in err
+        assert f"byte offset {8 * (7 * 4 + 2)}" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("scale", ["nan", "inf", "-1", "0", "x"])
+    def test_bad_scale_is_usage_error(self, tmp_path, capsys, scale):
+        paths = self._files(tmp_path)
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(self._train_argv(paths, out, "--scale", scale))
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:") and "--scale" in err
+        assert not out.exists()
+
+    def test_positive_scale_trains(self, tmp_path):
+        paths = self._files(tmp_path)
+        out = tmp_path / "out"
+        assert cli.main(self._train_argv(paths, out, "--scale", "0.5")) == 0
+        assert (out / "trainlog.jsonl").exists()

@@ -115,6 +115,28 @@ class TestRawMatrix:
         with pytest.raises(FormatError):
             load_raw_matrix(path, dim=2)
 
+    @pytest.mark.parametrize("header", [False, True])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_rejected_at_its_offset(self, tmp_path, header,
+                                                     value):
+        matrix = np.random.default_rng(2).uniform(0, 1, (5, 3))
+        matrix[3, 1] = value
+        matrix[4, 0] = np.nan
+        path = tmp_path / "m.raw"
+        save_raw_matrix(matrix, path, header=header)
+        start = len(b"5 3\n") if header else 0
+        with pytest.raises(FormatError) as exc:
+            load_raw_matrix(path, dim=3)
+        assert exc.value.offset == start + 8 * (3 * 3 + 1)
+        assert "row 3" in str(exc.value)
+
+    @pytest.mark.parametrize("scale", [np.nan, np.inf, -1.0, 0.0])
+    def test_bad_scale_rejected(self, tmp_path, scale):
+        path = tmp_path / "m.raw"
+        save_raw_matrix(np.full((2, 2), 0.5), path)
+        with pytest.raises(ContractError):
+            load_raw_matrix(path, dim=2, scale=scale)
+
 
 class TestCanonicalSplit:
     def _mnist_like(self):

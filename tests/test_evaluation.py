@@ -444,3 +444,115 @@ class TestEvalReport:
         assert payload["is_samples"] == 3
         assert len(payload["per_example_ll"]) == 4
         assert payload["active_unit_counts"] == report.active_unit_counts
+
+
+class TestRowOnceEncoding:
+    """`is_log_likelihood` encodes the repeated row once per distinct chunk
+    length and reuses it for every chunk of that length; the reference is
+    the per-chunk loop that encodes every chunk afresh."""
+
+    CHUNK, SEED = 7, 40
+
+    @staticmethod
+    def _lse(values):
+        m = values.max()
+        return float(m + np.log(np.exp(values - m).sum()))
+
+    @classmethod
+    def _reference_row(cls, x, model, s, rng, chunk):
+        x = np.asarray(x, dtype=np.float64).reshape(1, -1)
+        partials = []
+        remaining = s
+        while remaining > 0:
+            c = min(chunk, remaining)
+            weights = model.log_importance_weight(np.repeat(x, c, 0), rng)
+            partials.append(cls._lse(weights))
+            remaining -= c
+        return cls._lse(np.asarray(partials)) - math.log(s)
+
+    def _reference(self, model, data, s):
+        seqs = np.random.SeedSequence(self.SEED).spawn(data.shape[0])
+        with fixed_components(model.prior):
+            return np.array([
+                self._reference_row(data[i], model, s,
+                                    np.random.default_rng(seqs[i]),
+                                    self.CHUNK)
+                for i in range(data.shape[0])])
+
+    @staticmethod
+    def _data():
+        return np.random.default_rng(41).integers(0, 2, (3, 4)).astype(float)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("s", [1, CHUNK - 1, CHUNK, CHUNK + 1,
+                                   2 * CHUNK + 3])
+    @pytest.mark.parametrize("levels,prior", [(1, "sg"), (1, "vamp"),
+                                              (2, "sg"), (2, "vamp")],
+                             ids=["vae-sg", "vae-vamp", "hvae-sg",
+                                  "hvae-vamp"])
+    def test_bitwise_equal_to_per_chunk_encoding(self, levels, prior, s,
+                                                 workers):
+        model = tiny_model(levels, prior, seed=42)
+        data = self._data()
+        got = per_example_log_likelihood(model, data, s, self.SEED,
+                                         workers=workers,
+                                         chunk_size=self.CHUNK)
+        want = self._reference(model, data, s)
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("s,lengths", [(CHUNK, 1), (2 * CHUNK, 1),
+                                           (2 * CHUNK + 3, 2)])
+    def test_x_path_runs_once_per_chunk_length(self, s, lengths,
+                                               monkeypatch):
+        model = tiny_model(2, "vamp", seed=42)
+        data = self._data()
+        calls = []
+        stack = model.enc_z1_x
+
+        def counting(x):
+            calls.append(x.shape[0])
+            return stack(x)
+
+        monkeypatch.setattr(model, "enc_z1_x", counting)
+        per_example_log_likelihood(model, data, s, self.SEED, workers=2,
+                                   chunk_size=self.CHUNK)
+        assert len(calls) == lengths * data.shape[0]
+        tail = s % self.CHUNK
+        assert sorted(set(calls)) == sorted({self.CHUNK, tail} - {0})
+
+    @pytest.mark.parametrize("levels", [1, 2])
+    def test_forward_on_an_encoding_equals_forward_on_the_batch(self,
+                                                                levels):
+        model = tiny_model(levels, "vamp", seed=43)
+        data = self._data()
+        enc = model.encode_x(data)
+        assert enc.shape == data.shape
+        np.testing.assert_array_equal(enc[1], data[1])
+        for mc in (1, 3):
+            a = model.forward(data, np.random.default_rng(5), mc).elbo().data
+            b = model.forward(enc, np.random.default_rng(5), mc).elbo().data
+            np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))
+        with pytest.raises(ContractError):
+            model.forward(enc, np.random.default_rng(5), 0)
+
+    @pytest.mark.parametrize("mode", ["analytic", "sampled"])
+    @pytest.mark.parametrize("levels,prior", [(1, "mog"), (2, "vamp")])
+    def test_elbo_decomposition_arrays_unchanged(self, levels, prior, mode):
+        model = tiny_model(levels, prior, seed=44)
+        data = self._data()
+        got = elbo_decomposition(data, model, 3, np.random.default_rng(6),
+                                 entropy_mode=mode).per_example
+        # reference: every sample re-encodes the batch
+        rng = np.random.default_rng(6)
+        want = {k: np.zeros(data.shape[0])
+                for k in ("recon", "entropy", "cross_entropy")}
+        for _ in range(3):
+            rec = model.forward(Tensor(data), rng, 1)
+            want["recon"] += rec.log_px.data
+            want["cross_entropy"] += -rec.log_p().data
+            want["entropy"] += (rec.entropy().data if mode == "analytic"
+                                else -rec.log_q().data)
+        for key, value in want.items():
+            value /= 3
+            np.testing.assert_array_equal(got[key].view(np.int64),
+                                          value.view(np.int64))

@@ -128,6 +128,89 @@ class TestStep:
             assert b < a
 
 
+class TestBlockedAdam:
+    """`step` updates in place over ADAM_CHUNK-element slices; the reference
+    is the whole-array form it replaced, compared bit for bit."""
+
+    C = training.ADAM_CHUNK
+
+    @staticmethod
+    def _reference_step(params, opt, lr):
+        opt.step += 1
+        t = opt.step
+        corr1 = 1.0 - opt.beta1 ** t
+        corr2 = 1.0 - opt.beta2 ** t
+        for name, p in params.items():
+            norm = float(np.sqrt((p.grad * p.grad).sum()))
+            if norm < training.GRAD_NORM_FLOOR:
+                continue
+            g = p.grad / norm
+            m = opt.m[name]
+            v = opt.v[name]
+            m *= opt.beta1
+            m += (1.0 - opt.beta1) * g
+            v *= opt.beta2
+            v += (1.0 - opt.beta2) * g * g
+            p.data = p.data - lr * (m / corr1) / (np.sqrt(v / corr2)
+                                                 + opt.eps)
+
+    def _shapes(self):
+        return {"one": (1,), "below": (self.C - 1,), "exact": (self.C,),
+                "above": (self.C + 1,), "matrix": (301, 300),
+                "zero": (5,), "signed": (4,)}
+
+    def _params(self, seed):
+        rng = np.random.default_rng(seed)
+        return {k: Tensor(rng.standard_normal(shape), requires_grad=True)
+                for k, shape in self._shapes().items()}
+
+    def _set_grads(self, params, rng):
+        for k, p in params.items():
+            p.grad = rng.standard_normal(p.shape) * 1e-3
+        params["zero"].grad = np.zeros(5)
+        params["signed"].grad = np.array([-0.0, 1e-3, -2e-3, 0.0])
+
+    @staticmethod
+    def _bits(a):
+        return np.ascontiguousarray(a).view(np.int64)
+
+    def test_bitwise_equal_to_whole_array_update(self):
+        got, want = self._params(7), self._params(7)
+        opt_got, opt_want = AdamState(got), AdamState(want)
+        rng_got, rng_want = np.random.default_rng(8), np.random.default_rng(8)
+        for _ in range(3):
+            self._set_grads(got, rng_got)
+            self._set_grads(want, rng_want)
+            step(got, opt_got, 1e-2)
+            self._reference_step(want, opt_want, 1e-2)
+        for k in got:
+            np.testing.assert_array_equal(self._bits(got[k].data),
+                                          self._bits(want[k].data))
+            np.testing.assert_array_equal(self._bits(opt_got.m[k]),
+                                          self._bits(opt_want.m[k]))
+            np.testing.assert_array_equal(self._bits(opt_got.v[k]),
+                                          self._bits(opt_want.v[k]))
+        np.testing.assert_array_equal(opt_got.m["zero"], 0.0)
+
+    def test_updates_in_place(self):
+        params = self._params(9)
+        arrays = {k: p.data for k, p in params.items()}
+        self._set_grads(params, np.random.default_rng(10))
+        step(params, AdamState(params), 1e-2)
+        assert all(params[k].data is arrays[k] for k in params)
+
+    def test_non_contiguous_parameter_is_updated(self):
+        base = np.random.default_rng(11).standard_normal((3, 4))
+        want = {"w": Tensor(base.copy(), requires_grad=True)}
+        got = {"w": Tensor(np.asfortranarray(base), requires_grad=True)}
+        grad = np.random.default_rng(12).standard_normal((3, 4))
+        want["w"].grad, got["w"].grad = grad, np.asfortranarray(grad)
+        step(got, AdamState(got), 1e-2)
+        self._reference_step(want, AdamState(want), 1e-2)
+        np.testing.assert_array_equal(self._bits(got["w"].data),
+                                      self._bits(want["w"].data))
+
+
 class TestDynamicBinarize:
     def test_endpoints(self):
         batch = np.array([[0.0, 1.0]] * 100)
