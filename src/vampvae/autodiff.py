@@ -41,11 +41,6 @@ def _active_graph() -> "Graph | None":
     return stack[-1] if stack else None
 
 
-def recording() -> bool:
-    """Whether this thread is inside a ``with Graph():`` block."""
-    return _active_graph() is not None
-
-
 def _ensure_finite(tag: str, data: Array) -> None:
     # one-pass screen; the exact check runs only when the sum misbehaves,
     # which also clears false alarms from benign summation overflow
@@ -195,9 +190,6 @@ class Tensor:
     def reshape(self, shape):
         return reshape(self, shape)
 
-    def transpose(self):
-        return transpose(self)
-
     def slice(self, axis, start, stop):
         return narrow(self, axis, start, stop)
 
@@ -332,13 +324,6 @@ def matmul(a, b) -> Tensor:
                 a_data.T @ g if b.requires_grad else None)
 
     return apply_op("matmul", out, (a, b), grad_fn)
-
-
-def transpose(a) -> Tensor:
-    a = _as_tensor(a)
-    if a.ndim != 2:
-        raise DimensionError(f"'transpose': expected 2-D, got {a.shape}")
-    return apply_op("transpose", a.data.T.copy(), (a,), lambda g: (g.T,))
 
 
 # -- unary elementwise ops ----------------------------------------------

@@ -21,6 +21,7 @@ from . import datasets as ds_mod
 from . import evaluation, pgm, training
 from .errors import FormatError, VampVaeError
 from .models import (
+    LIKELIHOODS,
     ModelSpec,
     build_model,
     generate,
@@ -30,7 +31,7 @@ from .models import (
     save_checkpoint,
     set_parameters,
 )
-from .priors import MixtureOfGaussians, VampPrior
+from .priors import PRIOR_KINDS, MixtureOfGaussians, VampPrior
 from .training import TrainConfig, fit
 
 USAGE_ERROR = 2
@@ -72,7 +73,7 @@ def _positive_int(text: str) -> int:
 
 
 def _positive_float(text: str) -> float:
-    """argparse type for a finite scale factor greater than 0."""
+    """argparse type for a finite value greater than 0."""
     try:
         value = float(text)
     except ValueError:
@@ -104,40 +105,42 @@ def _add_dataset_flags(p: argparse.ArgumentParser) -> None:
     g.add_argument("--val-path", help="optional validation matrix (raw)")
     g.add_argument("--data-format", choices=("idx", "raw"),
                    help="file format (default: idx for MNIST, raw otherwise)")
-    g.add_argument("--dim", type=int, help="row width for raw matrices")
+    g.add_argument("--dim", type=_positive_int,
+                   help="row width for raw matrices")
     g.add_argument("--scale", type=_positive_float, default=1.0,
                    help="raw-matrix intensity scale (e.g. 1/255)")
-    g.add_argument("--val-rows", type=int,
+    g.add_argument("--val-rows", type=_positive_int,
                    help="validation rows drawn from the training split")
-    g.add_argument("--synth-n", type=int, default=10_000)
-    g.add_argument("--synth-dim", type=int, default=64)
-    g.add_argument("--synth-k", type=int, default=8)
+    g.add_argument("--synth-n", type=_positive_int, default=10_000)
+    g.add_argument("--synth-dim", type=_positive_int, default=64)
+    g.add_argument("--synth-k", type=_positive_int, default=8)
 
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
     g = p.add_argument_group("model")
     g.add_argument("--levels", action=_Once, type=int, choices=(1, 2),
                    default=2)
-    g.add_argument("--prior", action=_Once,
-                   choices=("sg", "mog", "vamp", "vamp-data", "weighted-vamp"),
+    g.add_argument("--prior", action=_Once, choices=PRIOR_KINDS,
                    default="sg")
-    g.add_argument("--k", type=int, help="mixture components / pseudo-inputs "
-                   "(default 500; 1000 for omniglot)")
-    g.add_argument("--m1", type=int, default=40, help="first-level latents")
-    g.add_argument("--m2", type=int, default=40, help="second-level latents")
-    g.add_argument("--hidden", type=int, default=300)
-    g.add_argument("--likelihood", choices=("bernoulli", "logistic"),
+    g.add_argument("--k", type=_positive_int, help="mixture components / "
+                   "pseudo-inputs (default 500; 1000 for omniglot)")
+    g.add_argument("--m1", type=_positive_int, default=40,
+                   help="first-level latents")
+    g.add_argument("--m2", type=_positive_int, default=40,
+                   help="second-level latents")
+    g.add_argument("--hidden", type=_positive_int, default=300)
+    g.add_argument("--likelihood", choices=LIKELIHOODS,
                    help="default: per dataset")
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
     g = p.add_argument_group("training")
-    g.add_argument("--lr", type=float, default=5e-4)
-    g.add_argument("--batch-size", type=int, default=100)
+    g.add_argument("--lr", type=_positive_float, default=5e-4)
+    g.add_argument("--batch-size", type=_positive_int, default=100)
     g.add_argument("--warmup-epochs", type=int, default=100)
-    g.add_argument("--patience", type=int, default=50)
-    g.add_argument("--max-epochs", type=int, default=2000)
-    g.add_argument("--mc-samples", type=int, default=1)
+    g.add_argument("--patience", type=_positive_int, default=50)
+    g.add_argument("--max-epochs", type=_positive_int, default=2000)
+    g.add_argument("--mc-samples", type=_positive_int, default=1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -157,8 +160,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "log-likelihood and diagnostics")
     _add_dataset_flags(p_eval)
     p_eval.add_argument("--checkpoint", required=True)
-    p_eval.add_argument("--is-samples", type=int, default=5000)
-    p_eval.add_argument("--bins", type=int, default=50)
+    p_eval.add_argument("--is-samples", type=_positive_int, default=5000)
+    p_eval.add_argument("--bins", type=_positive_int, default=50)
 
     p_gen = sub.add_parser("generate", help="decode prior samples to a "
                            "PGM grid")
@@ -215,6 +218,10 @@ def load_dataset(args) -> ds_mod.Dataset:
     else:
         n_val = args.val_rows or defaults.get("val_rows") \
             or max(1, train.shape[0] // 10)
+        if n_val >= train.shape[0]:
+            raise VampVaeError(f"cannot hold out {n_val} validation rows from "
+                               f"{train.shape[0]} training rows "
+                               "(see --val-rows)")
         picks = np.random.default_rng(VAL_SPLIT_SEED).choice(
             train.shape[0], size=n_val, replace=False)
         mask = np.zeros(train.shape[0], dtype=bool)

@@ -14,8 +14,7 @@ import numpy as np
 
 from .autodiff import Tensor
 from .errors import ContractError
-from .models import Vae
-from .priors import fixed_components
+from .models import Vae, with_frozen_prior
 
 DEFAULT_IS_CHUNK = 500
 
@@ -60,23 +59,24 @@ def per_example_log_likelihood(model, data: np.ndarray, s: int, seed: int,
     """IS log-likelihood per dataset row, reduced in index order.
 
     Each row gets its own generator spawned from `seed`, so the result is
-    identical for any worker count. The prior's mixture components are
-    computed once for the whole call, before any worker starts.
+    identical for any worker count. The rows are evaluated on a copy of the
+    model with a frozen prior, made before any worker starts, so the prior's
+    mixture components are computed once for the whole call.
     """
     data = np.asarray(data, dtype=np.float64)
     if data.ndim != 2 or data.shape[0] == 0:
         raise ContractError("need a non-empty (N, D) matrix")
     seqs = np.random.SeedSequence(seed).spawn(data.shape[0])
+    frozen_model = with_frozen_prior(model)
 
     def one(i: int) -> float:
-        return is_log_likelihood(data[i], model, s,
+        return is_log_likelihood(data[i], frozen_model, s,
                                  np.random.default_rng(seqs[i]), chunk_size)
 
-    with fixed_components(model.prior):
-        if workers <= 1:
-            return np.array([one(i) for i in range(data.shape[0])])
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return np.array(list(pool.map(one, range(data.shape[0]))))
+    if workers <= 1:
+        return np.array([one(i) for i in range(data.shape[0])])
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return np.array(list(pool.map(one, range(data.shape[0]))))
 
 
 def bits_per_dim(mean_ll_nats: float, d: int) -> float:

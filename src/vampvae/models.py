@@ -10,6 +10,7 @@ gated dense layers followed by an affine head emitting (mean, log_var).
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 import struct
@@ -35,6 +36,7 @@ from .priors import (
     VampDataPrior,
     VampPrior,
     WeightedVampPrior,
+    frozen,
     sample_prior,
 )
 
@@ -230,21 +232,8 @@ class Generation:
     components: np.ndarray | None = None
 
 
-class _Encoding:
-    """Indexes like the (B, D) batch it encodes and has its shape, so a
-    caller that looks at the rows handed to `log_importance_weight` sees
-    the data."""
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.x.shape
-
-    def __getitem__(self, index):
-        return self.x.data[index]
-
-
 @dataclass(frozen=True)
-class VaeEncoding(_Encoding):
+class VaeEncoding:
     """The part of a one-level forward pass that depends only on x."""
 
     x: Tensor
@@ -252,7 +241,7 @@ class VaeEncoding(_Encoding):
 
 
 @dataclass(frozen=True)
-class HvaeEncoding(_Encoding):
+class HvaeEncoding:
     """The part of a two-level forward pass that depends only on x: q(z2 | x)
     and the x path of q(z1 | x, z2)."""
 
@@ -467,6 +456,16 @@ def build_model(spec: ModelSpec, rng, data_mean=None, data_rows=None) -> Model:
     if spec.levels == 1:
         return Vae(spec, prior, rng)
     return Hvae(spec, prior, rng)
+
+
+def with_frozen_prior(model: Model) -> Model:
+    """A shallow copy of `model` whose prior is `priors.frozen(model.prior)`,
+    for passes that change no parameter (evaluation, the validation ELBO):
+    the prior's components are computed once here, not on every `log_prob`.
+    `model` and its prior are left as they are."""
+    copied = copy.copy(model)
+    copied.prior = frozen(model.prior)
+    return copied
 
 
 def generate(model: Model, n: int, rng) -> Generation:

@@ -8,11 +8,13 @@ Mixture log-densities run through the fused pairwise density, whose
 arithmetic matches `log_normal_diag`, so a single-component mixture is
 bitwise equal to the plain density; the log-sum-exp reduction keeps the
 result exactly invariant to component permutation.
+
+With its parameters fixed, a mixture-of-posteriors prior is a plain mixture
+of Gaussians: `frozen` computes its components once, for evaluation.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,8 +35,6 @@ PRIOR_KINDS = ("sg", "mog", "vamp", "vamp-data", "weighted-vamp")
 class StandardGaussian(Module):
     """Fixed N(0, I) prior."""
 
-    tag = "sg"
-
     def __init__(self, dim: int):
         self.dim = dim
 
@@ -44,32 +44,18 @@ class StandardGaussian(Module):
         return log_standard_normal(z)
 
 
-class _Mixture(Module):
-    """A prior whose density is a mixture over `components()`."""
+class MixtureOfGaussians(Module):
+    """Mixture of K diagonal Gaussians with trainable parameters; uniform
+    unless given fixed log-weights."""
 
-    # the components computed once by `fixed_components`; set on the
-    # instance only inside that block
-    _fixed: DiagGaussian | None = None
-
-    def _current_components(self) -> DiagGaussian:
-        if self._fixed is None:
-            return self.components()
-        if ad.recording():
-            raise ContractError("fixed mixture components used while a "
-                                "graph records")
-        return self._fixed
-
-
-class MixtureOfGaussians(_Mixture):
-    """Uniform mixture of K diagonal Gaussians with trainable parameters."""
-
-    tag = "mog"
-
-    def __init__(self, means: Tensor, log_vars: Tensor):
+    def __init__(self, means: Tensor, log_vars: Tensor,
+                 log_weights: Tensor | None = None):
         if means.shape != log_vars.shape or means.ndim != 2:
             raise DimensionError("MoG means and log_vars must share a (K, M) shape")
         self.means = means
         self.log_vars = log_vars
+        # assigned last: the means and log_vars keep their parameter names
+        self.log_weights = log_weights
 
     @classmethod
     def initialize(cls, k: int, dim: int, rng) -> "MixtureOfGaussians":
@@ -90,18 +76,16 @@ class MixtureOfGaussians(_Mixture):
         return DiagGaussian(self.means, self.log_vars)
 
     def log_prob(self, z: Tensor) -> Tensor:
-        return _mixture_log_prob(z, self._current_components(), None)
+        return _mixture_log_prob(z, self.components(), self.log_weights)
 
 
-class VampPrior(_Mixture):
+class VampPrior(Module):
     """Mixture of variational posteriors at K trainable pseudo-inputs.
 
     Pseudo-inputs are stored unconstrained; when `squash` is set they pass
     through a logistic before entering the encoder so they live in the [0, 1]
     data domain.
     """
-
-    tag = "vamp"
 
     def __init__(self, pseudo_inputs: Tensor, squash: bool = True):
         if pseudo_inputs.ndim != 2:
@@ -139,14 +123,11 @@ class VampPrior(_Mixture):
         return None
 
     def log_prob(self, z: Tensor) -> Tensor:
-        return _mixture_log_prob(z, self._current_components(),
-                                 self._log_weights())
+        return _mixture_log_prob(z, self.components(), self._log_weights())
 
 
 class VampDataPrior(VampPrior):
     """Mixture of posteriors at a frozen subset of training rows."""
-
-    tag = "vamp-data"
 
     def __init__(self, pseudo_inputs: Tensor):
         # frozen rows already live in data space: no squashing, no gradient
@@ -164,8 +145,6 @@ class VampDataPrior(VampPrior):
 
 class WeightedVampPrior(VampPrior):
     """VampPrior with trainable softmax mixture weights."""
-
-    tag = "weighted-vamp"
 
     def __init__(self, pseudo_inputs: Tensor, weight_logits: Tensor,
                  squash: bool = True):
@@ -206,29 +185,15 @@ def _mixture_log_prob(z: Tensor, comps: DiagGaussian,
     return ad.add(mat, log_weights).logsumexp(axis=1)
 
 
-@contextmanager
-def fixed_components(prior):
-    """Compute a mixture prior's components once; every `log_prob` inside
-    the block reuses them, from any thread.
-
-    For passes that record no graph and change no parameter, such as
-    evaluation: entering while a graph records, or calling `log_prob` inside
-    a graph, is a ContractError. The components are computed before the
-    block starts and dropped when it ends, exceptions included; they are not
-    a Tensor attribute, so `parameters()` and checkpoints never see them. A
-    prior without components, or one already fixed, passes through.
-    """
-    if not isinstance(prior, _Mixture) or prior._fixed is not None:
-        yield
-        return
-    if ad.recording():
-        raise ContractError("cannot fix mixture components while a graph "
-                            "records")
-    prior._fixed = prior.components()
-    try:
-        yield
-    finally:
-        del prior._fixed
+def frozen(prior):
+    """The prior's current density as a fixed value: a mixture-of-posteriors
+    prior becomes the `MixtureOfGaussians` of its components and
+    log-weights, computed once, with the same bits. Any other prior is
+    returned as it is."""
+    if not isinstance(prior, VampPrior):
+        return prior
+    comps = prior.components()
+    return MixtureOfGaussians(comps.mean, comps.log_var, prior._log_weights())
 
 
 def log_prior(z: Tensor, spec) -> Tensor:

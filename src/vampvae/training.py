@@ -15,7 +15,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Graph, Tensor, backward
 from .errors import ContractError, DomainError
-from .priors import fixed_components
+from .models import with_frozen_prior
 
 # gradient blocks with L2 norm below this are skipped entirely
 GRAD_NORM_FLOOR = 1e-12
@@ -36,8 +36,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ContractError("learning_rate must be positive")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ContractError("learning_rate must be finite and positive")
         if self.batch_size < 1:
             raise ContractError("batch_size must be at least 1")
         if self.early_stop_patience < 1:
@@ -139,15 +139,16 @@ def dynamic_binarize(batch: np.ndarray, rng) -> np.ndarray:
 
 def validation_elbo(model, data: np.ndarray, rng, mc_samples: int = 1,
                     batch_size: int = 100) -> float:
-    """Mean ELBO (beta = 1) over a dataset, evaluated without recording; the
-    prior's mixture components are computed once for all batches."""
+    """Mean ELBO (beta = 1) over a dataset, evaluated without recording on a
+    copy of the model with a frozen prior, so the prior's mixture components
+    are computed once for all batches."""
     data = np.asarray(data, dtype=np.float64)
+    frozen_model = with_frozen_prior(model)
     total = 0.0
-    with fixed_components(model.prior):
-        for start in range(0, data.shape[0], batch_size):
-            rows = data[start:start + batch_size]
-            rec = model.forward(rows, rng, mc_samples)
-            total += float(rec.elbo().data.sum())
+    for start in range(0, data.shape[0], batch_size):
+        rows = data[start:start + batch_size]
+        rec = frozen_model.forward(rows, rng, mc_samples)
+        total += float(rec.elbo().data.sum())
     return total / data.shape[0]
 
 

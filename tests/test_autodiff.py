@@ -201,12 +201,6 @@ class TestPerOpGradients:
         err = grad_check(lambda ps: (ps[0] @ ps[1]).square().sum(), [a, b])
         assert err < 1e-7
 
-    def test_transpose(self):
-        rng = np.random.default_rng(10)
-        a = _rand(rng, 3, 4)
-        err = grad_check(lambda ps: (ps[0].transpose() @ ps[0]).sum(), [a])
-        assert err < 1e-7
-
     def test_reductions(self):
         rng = np.random.default_rng(11)
         a = _rand(rng, 3, 5)

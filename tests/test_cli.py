@@ -236,21 +236,36 @@ class TestReconstruct:
 
 
 class TestCountFlag:
-    @pytest.mark.parametrize("command", ["generate", "reconstruct",
-                                         "inspect-prior"])
-    @pytest.mark.parametrize("n", ["0", "-3"])
-    def test_non_positive_n_is_usage_error(self, trained, tmp_path, capsys,
-                                           command, n):
+    TRAIN_FLAGS = ["--k", "--m1", "--m2", "--hidden", "--batch-size",
+                   "--max-epochs", "--patience", "--mc-samples", "--lr",
+                   "--dim", "--val-rows", "--synth-n", "--synth-dim",
+                   "--synth-k"]
+
+    FLAGS = [("generate", "--n"), ("reconstruct", "--n"),
+             ("inspect-prior", "--n"), ("evaluate", "--is-samples"),
+             ("evaluate", "--bins"), *[("train", f) for f in TRAIN_FLAGS]]
+
+    @pytest.mark.parametrize("command,flag,value", [
+        *[(c, f, v) for c, f in FLAGS for v in ("0", "-3")],
+        ("train", "--lr", "nan"), ("train", "--lr", "inf")])
+    def test_out_of_range_value_is_usage_error(self, trained, tmp_path,
+                                               capsys, command, flag, value):
         out = tmp_path / "out"
-        argv = [command, "--checkpoint", str(trained / "checkpoint_best.ckpt"),
-                "--n", n, "--outdir", str(out)]
-        if command == "reconstruct":
-            argv += TINY_DATA
+        if command == "train":
+            # a valid tiny run precedes the flag, so a value that slipped
+            # through would train quickly rather than at the defaults
+            argv = ["train", *TINY_DATA, *TINY_MODEL, *TINY_TRAIN]
+        else:
+            argv = [command, "--checkpoint",
+                    str(trained / "checkpoint_best.ckpt")]
+            if command in ("reconstruct", "evaluate"):
+                argv += TINY_DATA
+        argv += [flag, value, "--outdir", str(out)]
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert err.startswith("usage:") and "--n" in err
+        assert err.startswith("usage:") and flag in err
         assert not out.exists()
 
 
@@ -337,6 +352,32 @@ class TestRawMatrixInput:
         err = capsys.readouterr().err
         assert err.startswith("usage:") and "--scale" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("rows", ["30", "31"])
+    def test_val_rows_not_below_training_rows_exits_one(self, tmp_path,
+                                                        capsys, rows):
+        paths = self._files(tmp_path)
+        out = tmp_path / "out"
+        argv = self._train_argv(paths, out, "--val-rows", rows)
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"{rows} validation rows from 30 training rows" in err
+        assert not out.exists()
+
+    def test_val_rows_sets_the_split(self, tmp_path, monkeypatch):
+        paths = self._files(tmp_path)
+        seen = []
+        fit = cli.fit
+
+        def fit_spy(train, val, *args, **kwargs):
+            seen.append((train.shape[0], val.shape[0]))
+            return fit(train, val, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "fit", fit_spy)
+        argv = self._train_argv(paths, tmp_path / "out", "--val-rows", "29")
+        assert cli.main(argv) == 0
+        assert seen == [(1, 29)]
 
     def test_positive_scale_trains(self, tmp_path):
         paths = self._files(tmp_path)

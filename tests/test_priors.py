@@ -18,6 +18,7 @@ from vampvae.priors import (
     VampPrior,
     WeightedVampPrior,
     cross_entropy_to_prior,
+    frozen,
     log_prior,
     sample_prior,
 )
@@ -188,6 +189,44 @@ class TestWeightedVamp:
         weighted.weight_logits.data[:] = [50.0, -50.0, -50.0]
         out = sample_prior(weighted, 10_000, np.random.default_rng(5))
         assert (out.components == 0).mean() > 0.999
+
+
+class TestFrozen:
+    """`frozen` turns a prior's current parameters into a fixed value with
+    the same density, bit for bit."""
+
+    @staticmethod
+    def _prior(kind, rng):
+        if kind == "mog":
+            return MixtureOfGaussians(
+                Tensor(rng.normal(0, 1, (4, 3)), requires_grad=True),
+                Tensor(rng.uniform(-1, 1, (4, 3)), requires_grad=True))
+        if kind == "vamp-data":
+            prior = VampDataPrior.from_data(rng.uniform(0, 1, (9, 5)), 4, rng)
+            prior.encoder = LinearEncoder(5, 3, rng)
+            return prior
+        cls = WeightedVampPrior if kind == "weighted-vamp" else VampPrior
+        prior, _ = _vamp(4, 5, 3, rng, cls=cls)
+        if kind == "weighted-vamp":
+            prior.weight_logits.data[:] = [1.5, -0.25, 0.0, -2.0]
+        return prior
+
+    @pytest.mark.parametrize("kind", ["mog", "vamp", "vamp-data",
+                                      "weighted-vamp"])
+    def test_log_prob_bitwise_equal(self, kind):
+        rng = np.random.default_rng(33)
+        prior = self._prior(kind, rng)
+        z = Tensor(rng.standard_normal((6, 3)))
+        got = frozen(prior).log_prob(z).data
+        want = prior.log_prob(z).data
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+        assert isinstance(frozen(prior), MixtureOfGaussians)
+
+    def test_priors_without_an_encoder_returned_as_they_are(self):
+        sg = StandardGaussian(3)
+        mog = self._prior("mog", np.random.default_rng(34))
+        assert frozen(sg) is sg
+        assert frozen(mog) is mog
 
 
 class TestSamplePrior:

@@ -291,6 +291,11 @@ class TestFit:
                                 config.mc_samples)
         assert again == pytest.approx(log.best_val_elbo, abs=1e-9)
 
+    @pytest.mark.parametrize("lr", [float("nan"), float("inf"), 0.0, -1e-3])
+    def test_learning_rate_must_be_finite_and_positive(self, lr):
+        with pytest.raises(ContractError):
+            _config(learning_rate=lr)
+
     def test_empty_split_rejected(self):
         model = tiny_model(1, d=16)
         with pytest.raises(ContractError):
