@@ -25,7 +25,6 @@ from .models import (
     ModelSpec,
     build_model,
     generate,
-    generate_from_component,
     load_checkpoint,
     reconstruct,
     save_checkpoint,
@@ -61,15 +60,20 @@ DATASET_DEFAULTS = {
 VAL_SPLIT_SEED = 20236851
 
 
-def _positive_int(text: str) -> int:
-    """argparse type for counts that must be at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(lo: int):
+    """argparse type for an integer of at least `lo`."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be at least {lo}, got "
+                                             f"{value}")
+        return value
+
+    return parse
 
 
 def _positive_float(text: str) -> float:
@@ -105,15 +109,15 @@ def _add_dataset_flags(p: argparse.ArgumentParser) -> None:
     g.add_argument("--val-path", help="optional validation matrix (raw)")
     g.add_argument("--data-format", choices=("idx", "raw"),
                    help="file format (default: idx for MNIST, raw otherwise)")
-    g.add_argument("--dim", type=_positive_int,
+    g.add_argument("--dim", type=_int_at_least(1),
                    help="row width for raw matrices")
     g.add_argument("--scale", type=_positive_float, default=1.0,
                    help="raw-matrix intensity scale (e.g. 1/255)")
-    g.add_argument("--val-rows", type=_positive_int,
+    g.add_argument("--val-rows", type=_int_at_least(1),
                    help="validation rows drawn from the training split")
-    g.add_argument("--synth-n", type=_positive_int, default=10_000)
-    g.add_argument("--synth-dim", type=_positive_int, default=64)
-    g.add_argument("--synth-k", type=_positive_int, default=8)
+    g.add_argument("--synth-n", type=_int_at_least(1), default=10_000)
+    g.add_argument("--synth-dim", type=_int_at_least(1), default=64)
+    g.add_argument("--synth-k", type=_int_at_least(1), default=8)
 
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
@@ -122,13 +126,13 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
                    default=2)
     g.add_argument("--prior", action=_Once, choices=PRIOR_KINDS,
                    default="sg")
-    g.add_argument("--k", type=_positive_int, help="mixture components / "
+    g.add_argument("--k", type=_int_at_least(1), help="mixture components / "
                    "pseudo-inputs (default 500; 1000 for omniglot)")
-    g.add_argument("--m1", type=_positive_int, default=40,
+    g.add_argument("--m1", type=_int_at_least(1), default=40,
                    help="first-level latents")
-    g.add_argument("--m2", type=_positive_int, default=40,
+    g.add_argument("--m2", type=_int_at_least(1), default=40,
                    help="second-level latents")
-    g.add_argument("--hidden", type=_positive_int, default=300)
+    g.add_argument("--hidden", type=_int_at_least(1), default=300)
     g.add_argument("--likelihood", choices=LIKELIHOODS,
                    help="default: per dataset")
 
@@ -136,11 +140,11 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
     g = p.add_argument_group("training")
     g.add_argument("--lr", type=_positive_float, default=5e-4)
-    g.add_argument("--batch-size", type=_positive_int, default=100)
-    g.add_argument("--warmup-epochs", type=int, default=100)
-    g.add_argument("--patience", type=_positive_int, default=50)
-    g.add_argument("--max-epochs", type=_positive_int, default=2000)
-    g.add_argument("--mc-samples", type=_positive_int, default=1)
+    g.add_argument("--batch-size", type=_int_at_least(1), default=100)
+    g.add_argument("--warmup-epochs", type=_int_at_least(0), default=100)
+    g.add_argument("--patience", type=_int_at_least(1), default=50)
+    g.add_argument("--max-epochs", type=_int_at_least(1), default=2000)
+    g.add_argument("--mc-samples", type=_int_at_least(1), default=1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -160,29 +164,29 @@ def build_parser() -> argparse.ArgumentParser:
                             "log-likelihood and diagnostics")
     _add_dataset_flags(p_eval)
     p_eval.add_argument("--checkpoint", required=True)
-    p_eval.add_argument("--is-samples", type=_positive_int, default=5000)
-    p_eval.add_argument("--bins", type=_positive_int, default=50)
+    p_eval.add_argument("--is-samples", type=_int_at_least(1), default=5000)
+    p_eval.add_argument("--bins", type=_int_at_least(1), default=50)
 
     p_gen = sub.add_parser("generate", help="decode prior samples to a "
                            "PGM grid")
     p_gen.add_argument("--checkpoint", required=True)
-    p_gen.add_argument("--n", type=_positive_int, default=25)
+    p_gen.add_argument("--n", type=_int_at_least(1), default=25)
 
     p_rec = sub.add_parser("reconstruct", help="originals next to their "
                            "reconstructions as a PGM grid")
     _add_dataset_flags(p_rec)
     p_rec.add_argument("--checkpoint", required=True)
-    p_rec.add_argument("--n", type=_positive_int, default=25)
+    p_rec.add_argument("--n", type=_int_at_least(1), default=25)
 
     p_ins = sub.add_parser("inspect-prior", help="render pseudo-inputs or "
                            "decoded mixture means")
     p_ins.add_argument("--checkpoint", required=True)
     p_ins.add_argument("--component", type=int,
                        help="also decode draws from one mixture component")
-    p_ins.add_argument("--n", type=_positive_int, default=25)
+    p_ins.add_argument("--n", type=_int_at_least(1), default=25)
 
     for p in (p_train, p_eval, p_gen, p_rec, p_ins):
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_int_at_least(0), default=0)
         p.add_argument("--outdir", required=True)
     return parser
 
@@ -227,11 +231,8 @@ def load_dataset(args) -> ds_mod.Dataset:
         mask = np.zeros(train.shape[0], dtype=bool)
         mask[picks] = True
         train, val = train[~mask], train[mask]
-    dim = train.shape[1]
-    side = int(np.ceil(np.sqrt(dim)))
-    return ds_mod.Dataset(name=name, dim=dim, train=train, val=val, test=test,
-                          binarization=defaults["binarization"],
-                          image_shape=(side, int(np.ceil(dim / side))))
+    return ds_mod.Dataset(name=name, dim=train.shape[1], train=train, val=val,
+                          test=test, binarization=defaults["binarization"])
 
 
 def _model_spec(args, dataset: ds_mod.Dataset) -> ModelSpec:
@@ -315,17 +316,12 @@ def cmd_evaluate(args, parser: argparse.ArgumentParser) -> int:
     return 0
 
 
-def _image_shape(model) -> tuple[int, int]:
-    d = model.spec.data_dim
-    side = int(np.ceil(np.sqrt(d)))
-    return (side, int(np.ceil(d / side)))
-
-
 def cmd_generate(args) -> int:
     model = load_checkpoint(args.checkpoint)
     out = _outdir(args)
     gen = generate(model, args.n, np.random.default_rng(args.seed))
-    pgm.write_grid(gen.x_mean, _image_shape(model), out / "generated.pgm")
+    pgm.write_grid(gen.x_mean, pgm.tile_shape(model.spec.data_dim),
+                   out / "generated.pgm")
     print(f"wrote {args.n} generations to {out / 'generated.pgm'}")
     return 0
 
@@ -340,7 +336,7 @@ def cmd_reconstruct(args) -> int:
     rows = test[:args.n]
     recon = reconstruct(rows, model, np.random.default_rng(args.seed))
     out = _outdir(args)
-    pgm.write_side_by_side(rows, recon, dataset.image_shape,
+    pgm.write_side_by_side(rows, recon, pgm.tile_shape(dataset.dim),
                            out / "reconstructions.pgm")
     print(f"wrote {rows.shape[0]} reconstructions to "
           f"{out / 'reconstructions.pgm'}")
@@ -351,7 +347,7 @@ def cmd_inspect_prior(args, parser: argparse.ArgumentParser) -> int:
     model = load_checkpoint(args.checkpoint)
     prior = model.prior
     out = _outdir(args)
-    shape = _image_shape(model)
+    shape = pgm.tile_shape(model.spec.data_dim)
     rng = np.random.default_rng(args.seed)
 
     if isinstance(prior, VampPrior):
@@ -370,11 +366,10 @@ def cmd_inspect_prior(args, parser: argparse.ArgumentParser) -> int:
                            "Gaussian prior)")
 
     if args.component is not None:
-        k = getattr(prior, "k", 0)
-        if not 0 <= args.component < k:
+        if not 0 <= args.component < prior.k:
             parser.error(f"--component {args.component} out of range for "
-                         f"K={k}")
-        gen = generate_from_component(model, args.component, args.n, rng)
+                         f"K={prior.k}")
+        gen = generate(model, args.n, rng, component=args.component)
         path = out / f"component_{args.component}.pgm"
         pgm.write_grid(gen.x_mean, shape, path)
         print(f"wrote {args.n} generations from component "

@@ -38,7 +38,6 @@ class Dataset:
     val: np.ndarray
     test: np.ndarray
     binarization: str
-    image_shape: tuple[int, int]
 
     def __post_init__(self):
         if self.binarization not in BINARIZATIONS:
@@ -137,13 +136,11 @@ def canonical_split(name: str, train_matrix: np.ndarray,
             f"MNIST split expects 60k train / 10k test rows, got "
             f"{train_matrix.shape[0]} / {test_matrix.shape[0]}")
     binarization = "static" if name == "static-mnist" else "dynamic"
-    side = int(round(np.sqrt(train_matrix.shape[1])))
     return Dataset(name=name, dim=train_matrix.shape[1],
                    train=train_matrix[:50_000],
                    val=train_matrix[50_000:],
                    test=test_matrix,
-                   binarization=binarization,
-                   image_shape=(side, train_matrix.shape[1] // side))
+                   binarization=binarization)
 
 
 def synth_clusters(n: int, dim: int, k_clusters: int, seed: int,
@@ -179,10 +176,8 @@ def synth_clusters(n: int, dim: int, k_clusters: int, seed: int,
 
     n_train = int(n * 0.70)
     n_val = int(n * 0.15)
-    side = int(np.ceil(np.sqrt(dim)))
     return Dataset(name="synth", dim=dim,
                    train=data[:n_train],
                    val=data[n_train:n_train + n_val],
                    test=data[n_train + n_val:],
-                   binarization="static",
-                   image_shape=(side, int(np.ceil(dim / side))))
+                   binarization="static")

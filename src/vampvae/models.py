@@ -83,13 +83,6 @@ class ModelSpec:
     def top_latent(self) -> int:
         return self.latent2 if self.levels == 2 else self.latent1
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelSpec":
-        return cls(**d)
-
 
 def _glorot(rng, fan_in: int, fan_out: int) -> np.ndarray:
     limit = math.sqrt(6.0 / (fan_in + fan_out))
@@ -302,9 +295,6 @@ class Vae(Module):
     def decode(self, z: Tensor):
         return self.decoder_head(self.decoder(z))
 
-    def prior_level_posterior(self, x: Tensor) -> DiagGaussian:
-        return self.encode(x)
-
     def encode_x(self, x) -> VaeEncoding:
         x = _checked_batch(x, self.spec)
         return VaeEncoding(x, self.encode(x))
@@ -380,9 +370,6 @@ class Hvae(Module):
                                          axis=1))
         return self.dec_head(joint)
 
-    def prior_level_posterior(self, x: Tensor) -> DiagGaussian:
-        return self.encode_top(x)
-
     def encode_x(self, x) -> HvaeEncoding:
         x = _checked_batch(x, self.spec)
         return HvaeEncoding(x, self.encode_top(x), self.enc_z1_x(x))
@@ -444,10 +431,8 @@ def build_prior(spec: ModelSpec, rng, data_mean=None, data_rows=None):
         if data_rows is None:
             raise ContractError("vamp-data prior needs training rows")
         return VampDataPrior.from_data(np.asarray(data_rows, dtype=float), k, rng)
-    if kind == "weighted-vamp":
-        return WeightedVampPrior.initialize(k, spec.data_dim, rng, data_mean,
-                                            squash=spec.prior_squash)
-    raise ContractError(f"unknown prior '{kind}'")
+    return WeightedVampPrior.initialize(k, spec.data_dim, rng, data_mean,
+                                        squash=spec.prior_squash)
 
 
 def build_model(spec: ModelSpec, rng, data_mean=None, data_rows=None) -> Model:
@@ -468,32 +453,16 @@ def with_frozen_prior(model: Model) -> Model:
     return copied
 
 
-def generate(model: Model, n: int, rng) -> Generation:
-    """Sample the generative chain and decode to likelihood means."""
-    d = model.spec.data_dim
+def generate(model: Model, n: int, rng,
+             component: int | None = None) -> Generation:
+    """Sample the generative chain, with the top latent drawn from the prior
+    or from its mixture component `component`, and decode to likelihood
+    means."""
+    ps = sample_prior(model.prior, n, rng, component)
     if n == 0:
-        return Generation(np.empty((0, d)), np.empty((0, model.spec.latent1)))
-    ps = sample_prior(model.prior, n, rng)
+        return Generation(np.empty((0, model.spec.data_dim)),
+                          np.empty((0, model.spec.latent1)))
     return model.generate_from_top(ps.z, rng, ps.components)
-
-
-def generate_from_component(model: Model, component: int, n: int,
-                            rng) -> Generation:
-    """Generate with the top latent drawn from one mixture component."""
-    prior = model.prior
-    if isinstance(prior, StandardGaussian):
-        raise ContractError("component-conditioned generation needs a "
-                            "mixture prior")
-    if not 0 <= component < prior.k:
-        raise ContractError(f"component {component} out of range for "
-                            f"K={prior.k}")
-    comps = prior.components()
-    picked = DiagGaussian(
-        Tensor(np.tile(comps.mean.data[component], (n, 1))),
-        Tensor(np.tile(comps.log_var.data[component], (n, 1))))
-    eps = Tensor(rng.standard_normal((n, model.spec.top_latent)))
-    z_top = sample_reparam(picked, eps).data
-    return model.generate_from_top(z_top, rng, np.full(n, component))
 
 
 def reconstruct(x, model: Model, rng) -> np.ndarray:
@@ -506,10 +475,10 @@ def set_parameters(model: Model, state: dict[str, np.ndarray]) -> None:
     """Overwrite all model parameters from a name -> array snapshot."""
     params = model.parameters()
     if set(params) != set(state):
-        raise ContractError("parameter snapshot does not match the model")
+        raise ContractError("tensor names do not match the model")
     for name, t in params.items():
         if tuple(t.shape) != tuple(state[name].shape):
-            raise ContractError(f"snapshot tensor '{name}' has shape "
+            raise ContractError(f"tensor '{name}' has shape "
                                 f"{state[name].shape}, expected {t.shape}")
         t.data = np.array(state[name], dtype=np.float64)
 
@@ -520,7 +489,7 @@ def save_checkpoint(model: Model, path) -> None:
     """Write magic, version, JSON spec + tensor manifest, raw f64 payloads."""
     params = model.parameters()
     manifest = [[name, list(t.shape)] for name, t in params.items()]
-    header = json.dumps({"spec": model.spec.to_dict(), "tensors": manifest},
+    header = json.dumps({"spec": asdict(model.spec), "tensors": manifest},
                         sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
@@ -568,7 +537,7 @@ def load_checkpoint(path) -> Model:
         raise FormatError("truncated checkpoint metadata", offset=12)
     try:
         meta = json.loads(blob[12:12 + header_len].decode("utf-8"))
-        spec = ModelSpec.from_dict(meta["spec"])
+        spec = ModelSpec(**meta["spec"])
         manifest = _checked_manifest(meta["tensors"])
     except (ValueError, KeyError, TypeError, ContractError) as exc:
         raise FormatError(f"bad checkpoint metadata: {exc}", offset=12) from exc
@@ -581,9 +550,8 @@ def load_checkpoint(path) -> Model:
         if len(blob) < offset + nbytes:
             raise FormatError(f"truncated payload for tensor '{name}'",
                               offset=offset)
-        arrays[name] = np.frombuffer(
-            blob, dtype="<f8", count=count,
-            offset=offset).reshape(shape).astype(np.float64)
+        arrays[name] = np.frombuffer(blob, dtype="<f8", count=count,
+                                     offset=offset).reshape(shape)
         offset += nbytes
     if offset != len(blob):
         raise FormatError("trailing bytes after checkpoint payload",
@@ -594,14 +562,9 @@ def load_checkpoint(path) -> Model:
     if spec.prior_kind == "vamp-data":
         placeholder = np.zeros((spec.prior_components, spec.data_dim))
     model = build_model(spec, rng, data_rows=placeholder)
-    params = model.parameters()
-    if set(params) != set(arrays):
-        raise FormatError("checkpoint tensor manifest does not match the "
-                          "model architecture", offset=12)
-    for name, t in params.items():
-        if tuple(t.shape) != tuple(arrays[name].shape):
-            raise FormatError(f"tensor '{name}' has shape "
-                              f"{arrays[name].shape}, expected {t.shape}",
-                              offset=12)
-        t.data = arrays[name]
+    try:
+        set_parameters(model, arrays)
+    except ContractError as exc:
+        raise FormatError(f"checkpoint tensors do not match the model "
+                          f"architecture: {exc}", offset=12) from exc
     return model

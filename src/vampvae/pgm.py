@@ -11,6 +11,14 @@ from .errors import ContractError, FormatError
 GRID_MARGIN = 2
 
 
+def tile_shape(dim: int) -> tuple[int, int]:
+    """(height, width) of the tile that shows a row of `dim` pixels:
+    height ceil(sqrt(dim)), width ceil(dim / height), so the tile is square
+    for a square `dim` and never has an empty column."""
+    side = math.isqrt(dim - 1) + 1
+    return side, -(-dim // side)
+
+
 def write_pgm(gray: np.ndarray, path) -> None:
     """Write one 8-bit grayscale image as binary PGM."""
     gray = np.asarray(gray)

@@ -196,11 +196,6 @@ def frozen(prior):
     return MixtureOfGaussians(comps.mean, comps.log_var, prior._log_weights())
 
 
-def log_prior(z: Tensor, spec) -> Tensor:
-    """Log-density of the prior at each row of z; differentiable throughout."""
-    return spec.log_prob(z)
-
-
 @dataclass
 class PriorSample:
     """Latent draws plus the mixture component that produced each row."""
@@ -209,40 +204,31 @@ class PriorSample:
     components: np.ndarray | None
 
 
-def sample_prior(spec, n: int, rng) -> PriorSample:
-    """Draw n latent vectors from the prior (evaluation-time, no recording)."""
+def sample_prior(prior, n: int, rng, component: int | None = None
+                 ) -> PriorSample:
+    """Draw n latent vectors from the prior, or from its mixture component
+    `component` alone (evaluation-time, no recording). A draw picks a
+    component, then reparameterizes; a fixed component draws only the
+    noise."""
     if n < 0:
         raise ContractError("sample count must be non-negative")
-    if isinstance(spec, StandardGaussian):
-        return PriorSample(rng.standard_normal((n, spec.dim)), None)
-    comps = spec.components()
-    if isinstance(spec, WeightedVampPrior):
-        ks = rng.choice(spec.k, size=n, p=spec.weights())
+    if isinstance(prior, StandardGaussian):
+        if component is not None:
+            raise ContractError("component-conditioned sampling needs a "
+                                "mixture prior")
+        return PriorSample(rng.standard_normal((n, prior.dim)), None)
+    if component is not None:
+        if not 0 <= component < prior.k:
+            raise ContractError(f"component {component} out of range for "
+                                f"K={prior.k}")
+        ks = np.full(n, component)
+    elif isinstance(prior, WeightedVampPrior):
+        ks = rng.choice(prior.k, size=n, p=prior.weights())
     else:
-        ks = rng.integers(spec.k, size=n)
+        ks = rng.integers(prior.k, size=n)
+    comps = prior.components()
     eps = rng.standard_normal((n, comps.dim))
     picked = DiagGaussian(Tensor(comps.mean.data[ks]),
                           Tensor(comps.log_var.data[ks]))
     z = sample_reparam(picked, Tensor(eps)).data
     return PriorSample(z, ks)
-
-
-def cross_entropy_to_prior(data: np.ndarray, model, spec, samples_per_x: int,
-                           rng) -> float:
-    """Monte Carlo estimate of E_{z ~ q(z)} [-log p(z)].
-
-    Draws `samples_per_x` posterior samples for every row of `data` through
-    the model's encoder at the prior's level and averages -log_prior.
-    """
-    data = np.asarray(data, dtype=np.float64)
-    if data.ndim != 2 or data.shape[0] == 0:
-        raise ContractError("cross_entropy_to_prior needs a non-empty batch")
-    if samples_per_x < 1:
-        raise ContractError("samples_per_x must be at least 1")
-    post = model.prior_level_posterior(Tensor(data))
-    mean, std = post.mean.data, np.exp(0.5 * post.log_var.data)
-    total = 0.0
-    for _ in range(samples_per_x):
-        z = mean + std * rng.standard_normal(mean.shape)
-        total += float(-log_prior(Tensor(z), spec).data.sum())
-    return total / (data.shape[0] * samples_per_x)

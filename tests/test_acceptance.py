@@ -27,7 +27,7 @@ from vampvae.evaluation import active_units, elbo_decomposition, \
 from vampvae.models import ModelSpec, build_model, load_checkpoint, \
     save_checkpoint, set_parameters
 from vampvae.priors import MixtureOfGaussians, StandardGaussian, \
-    VampDataPrior, log_prior
+    VampDataPrior
 from vampvae.training import TrainConfig, fit, validation_elbo
 
 from test_models import tiny_model
@@ -85,7 +85,7 @@ class TestCriterion2VampCoupling:
         with Graph():
             q = model.encode(x)
             z = sample_reparam(q, eps)
-            kl = (log_normal_diag(z, q) - log_prior(z, prior)).mean()
+            kl = (log_normal_diag(z, q) - prior.log_prob(z)).mean()
             backward(kl)
         worst = max(np.abs(p.grad).max() for p in encoder_params.values())
         assert worst < 1e-8, f"KL gradient L-inf norm {worst}"
@@ -114,14 +114,14 @@ class TestCriterion3AggregatedPosteriorOptimality:
         z = Tensor((mean + std * draws).reshape(-1, m))
         assert z.shape[0] == 10_000
 
-        nll_agg = -log_prior(z, agg).data
+        nll_agg = -agg.log_prob(z).data
         rivals = {"sg": StandardGaussian(m)}
         for i in range(5):
             r = np.random.default_rng(200 + i)
             rivals[f"mog{i}"] = MixtureOfGaussians.initialize(5, m, r)
         margins = {}
         for name, rival in rivals.items():
-            diff = -log_prior(z, rival).data - nll_agg
+            diff = -rival.log_prob(z).data - nll_agg
             se = diff.std(ddof=1) / math.sqrt(diff.size)
             assert diff.mean() > 3 * se, \
                 f"{name}: margin {diff.mean():.4f} vs 3*SE {3 * se:.4f}"

@@ -245,9 +245,14 @@ class TestCountFlag:
              ("inspect-prior", "--n"), ("evaluate", "--is-samples"),
              ("evaluate", "--bins"), *[("train", f) for f in TRAIN_FLAGS]]
 
+    COMMANDS = ("train", "evaluate", "generate", "reconstruct",
+                "inspect-prior")
+
     @pytest.mark.parametrize("command,flag,value", [
         *[(c, f, v) for c, f in FLAGS for v in ("0", "-3")],
-        ("train", "--lr", "nan"), ("train", "--lr", "inf")])
+        ("train", "--lr", "nan"), ("train", "--lr", "inf"),
+        *[(c, "--seed", "-1") for c in COMMANDS],
+        ("train", "--warmup-epochs", "-3")])
     def test_out_of_range_value_is_usage_error(self, trained, tmp_path,
                                                capsys, command, flag, value):
         out = tmp_path / "out"
@@ -267,6 +272,13 @@ class TestCountFlag:
         err = capsys.readouterr().err
         assert err.startswith("usage:") and flag in err
         assert not out.exists()
+
+    def test_zero_warmup_epochs_trains(self, tmp_path):
+        out = tmp_path / "out"
+        argv = ["train", *TINY_DATA, *TINY_MODEL, *TINY_TRAIN,
+                "--warmup-epochs", "0", "--outdir", str(out)]
+        assert cli.main(argv) == 0
+        assert (out / "checkpoint_best.ckpt").exists()
 
 
 class TestInspectPrior:

@@ -237,12 +237,12 @@ class TestDatasetInvariants:
     def test_out_of_range_values_rejected(self):
         with pytest.raises(DomainError):
             Dataset("x", 2, np.array([[0.5, 1.5]]), np.zeros((1, 2)),
-                    np.zeros((1, 2)), "none", (1, 2))
+                    np.zeros((1, 2)), "none")
 
     def test_static_must_be_binary(self):
         with pytest.raises(DomainError):
             Dataset("x", 2, np.array([[0.5, 0.0]]), np.zeros((1, 2)),
-                    np.zeros((1, 2)), "static", (1, 2))
+                    np.zeros((1, 2)), "static")
 
 
 # -- single-byte mutations: every mutated file loads or raises FormatError --

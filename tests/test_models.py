@@ -17,7 +17,6 @@ from vampvae.models import (
     Vae,
     build_model,
     generate,
-    generate_from_component,
     load_checkpoint,
     reconstruct,
     save_checkpoint,
@@ -153,7 +152,7 @@ class TestGenerate:
 
     def test_component_conditioned_generation_uses_encoder_of_pseudo_input(self):
         model = tiny_model(2, "vamp", k=8)
-        out = generate_from_component(model, 3, 25, np.random.default_rng(2))
+        out = generate(model, 25, np.random.default_rng(2), component=3)
         assert out.x_mean.shape == (25, 4)
         assert np.all(out.components == 3)
         comp = model.prior.encoder(model.prior.pseudo_input_values())
@@ -165,12 +164,12 @@ class TestGenerate:
     def test_component_out_of_range(self):
         model = tiny_model(2, "vamp", k=8)
         with pytest.raises(ContractError):
-            generate_from_component(model, 9, 4, np.random.default_rng(0))
+            generate(model, 4, np.random.default_rng(0), component=9)
 
     def test_component_on_sg_rejected(self):
         model = tiny_model(2, "sg")
         with pytest.raises(ContractError):
-            generate_from_component(model, 0, 4, np.random.default_rng(0))
+            generate(model, 4, np.random.default_rng(0), component=0)
 
 
 class TestReconstruct:
@@ -299,6 +298,8 @@ class TestModelSpec:
         with pytest.raises(ContractError):
             ModelSpec(levels=1, data_dim=4, likelihood="gamma")
 
-    def test_round_trips_through_dict(self):
+    def test_round_trips_through_checkpoint(self, tmp_path):
         spec = tiny_spec(2, "weighted-vamp")
-        assert ModelSpec.from_dict(spec.to_dict()) == spec
+        path = tmp_path / "spec.ckpt"
+        save_checkpoint(build_model(spec, np.random.default_rng(0)), path)
+        assert load_checkpoint(path).spec == spec

@@ -8,6 +8,7 @@ from vampvae.pgm import (
     GRID_MARGIN,
     image_grid,
     read_pgm,
+    tile_shape,
     write_grid,
     write_pgm,
     write_side_by_side,
@@ -34,6 +35,24 @@ class TestWriteReadPgm:
         path.write_bytes(b"P6\n1 1\n255\n\x00\x00\x00")
         with pytest.raises(FormatError):
             read_pgm(path)
+
+
+class TestTileShape:
+    @staticmethod
+    def _ceil_rule(d):
+        side = int(np.ceil(np.sqrt(d)))
+        return side, int(np.ceil(d / side))
+
+    def test_fits_every_width_without_an_empty_column(self):
+        for d in range(1, 4097):
+            h, w = tile_shape(d)
+            assert h * w >= d and h * (w - 1) < d, d
+            assert (h, w) == self._ceil_rule(d), d
+
+    @pytest.mark.parametrize("d", [784, 64, 16])
+    def test_square_widths_keep_their_square_tiles(self, d):
+        side = int(round(np.sqrt(d)))
+        assert tile_shape(d) == (side, d // side) == self._ceil_rule(d)
 
 
 class TestImageGrid:

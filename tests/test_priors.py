@@ -17,9 +17,7 @@ from vampvae.priors import (
     VampDataPrior,
     VampPrior,
     WeightedVampPrior,
-    cross_entropy_to_prior,
     frozen,
-    log_prior,
     sample_prior,
 )
 
@@ -53,7 +51,7 @@ def _vamp(k, d, m, rng, cls=VampPrior, **kw):
 class TestStandardGaussian:
     def test_origin_forty_dims(self):
         sg = StandardGaussian(40)
-        got = log_prior(Tensor(np.zeros((1, 40))), sg).data[0]
+        got = sg.log_prob(Tensor(np.zeros((1, 40)))).data[0]
         assert got == pytest.approx(-20.0 * LOG_2PI, abs=1e-5)
         assert got == pytest.approx(-36.75754, abs=1e-5)
 
@@ -63,7 +61,7 @@ class TestVampPrior:
         rng = np.random.default_rng(20)
         prior, encoder = _vamp(1, 5, 3, rng)
         z = Tensor(rng.standard_normal((4, 3)))
-        got = log_prior(z, prior).data
+        got = prior.log_prob(z).data
 
         comp = encoder(prior.pseudo_input_values())
         plain = log_normal_diag(
@@ -78,38 +76,38 @@ class TestVampPrior:
         single = VampPrior(Tensor(prior.pseudo_inputs.data[:1]), squash=True)
         single.encoder = encoder
         z = Tensor(rng.standard_normal((6, 3)))
-        np.testing.assert_allclose(log_prior(z, prior).data,
-                                   log_prior(z, single).data, rtol=1e-14)
+        np.testing.assert_allclose(prior.log_prob(z).data,
+                                   single.log_prob(z).data, rtol=1e-14)
 
     def test_permutation_of_pseudo_inputs_is_exact(self):
         rng = np.random.default_rng(22)
         prior, encoder = _vamp(7, 4, 3, rng)
         z = Tensor(rng.standard_normal((5, 3)))
-        base = log_prior(z, prior).data.copy()
+        base = prior.log_prob(z).data.copy()
         perm = rng.permutation(7)
         shuffled = VampPrior(Tensor(prior.pseudo_inputs.data[perm]), squash=True)
         shuffled.encoder = encoder
-        np.testing.assert_array_equal(log_prior(z, shuffled).data, base)
+        np.testing.assert_array_equal(shuffled.log_prob(z).data, base)
 
     def test_evaluation_does_not_mutate_encoder(self):
         rng = np.random.default_rng(23)
         prior, encoder = _vamp(3, 4, 2, rng)
         before = [p.data.copy() for p in encoder.params()]
-        log_prior(Tensor(rng.standard_normal((3, 2))), prior)
+        prior.log_prob(Tensor(rng.standard_normal((3, 2))))
         for old, p in zip(before, encoder.params()):
             np.testing.assert_array_equal(old, p.data)
 
     def test_unbound_encoder_rejected(self):
         prior = VampPrior.initialize(2, 3, np.random.default_rng(0))
         with pytest.raises(ContractError):
-            log_prior(Tensor(np.zeros((1, 2))), prior)
+            prior.log_prob(Tensor(np.zeros((1, 2))))
 
     def test_gradients_reach_pseudo_inputs_and_encoder(self):
         rng = np.random.default_rng(24)
         prior, encoder = _vamp(3, 4, 2, rng)
         with Graph():
             z = Tensor(rng.standard_normal((5, 2)))
-            backward(log_prior(z, prior).sum())
+            backward(prior.log_prob(z).sum())
         assert prior.pseudo_inputs.grad is not None
         assert np.abs(prior.pseudo_inputs.grad).max() > 0
         assert all(p.grad is not None for p in encoder.params())
@@ -122,7 +120,7 @@ class TestVampPrior:
         prior.encoder = encoder
         assert not prior.pseudo_inputs.requires_grad
         with Graph():
-            backward(log_prior(Tensor(rng.standard_normal((4, 2))), prior).sum())
+            backward(prior.log_prob(Tensor(rng.standard_normal((4, 2)))).sum())
         assert prior.pseudo_inputs.grad is None
         assert all(p.grad is not None for p in encoder.params())
 
@@ -144,7 +142,7 @@ class TestMoGPrior:
             Tensor(rng.normal(0, 1, (k, m)), requires_grad=True),
             Tensor(rng.uniform(-1, 1, (k, m)), requires_grad=True))
         z = rng.standard_normal((5, m))
-        got = log_prior(Tensor(z), prior).data
+        got = prior.log_prob(Tensor(z)).data
 
         mpmath.mp.dps = 50
         for b in range(5):
@@ -173,8 +171,8 @@ class TestWeightedVamp:
         plain = VampPrior(weighted.pseudo_inputs, squash=True)
         plain.encoder = encoder
         z = Tensor(rng.standard_normal((6, 3)))
-        np.testing.assert_array_equal(log_prior(z, weighted).data,
-                                      log_prior(z, plain).data)
+        np.testing.assert_array_equal(weighted.log_prob(z).data,
+                                      plain.log_prob(z).data)
 
     def test_weights_normalized(self):
         rng = np.random.default_rng(29)
@@ -260,41 +258,7 @@ class TestSamplePrior:
         assert set(np.unique(out.components)) <= set(range(5))
 
 
-class _FixedPosteriorModel:
-    """Stand-in model whose posterior at the prior level is prescribed."""
-
-    def __init__(self, means, log_vars):
-        self.means = np.asarray(means, dtype=float)
-        self.log_vars = np.asarray(log_vars, dtype=float)
-
-    def prior_level_posterior(self, x: Tensor) -> DiagGaussian:
-        n = x.shape[0]
-        return DiagGaussian(Tensor(self.means[:n]), Tensor(self.log_vars[:n]))
-
-
 class TestCrossEntropyToPrior:
-    def test_standard_normal_entropy_value(self):
-        m, n = 4, 200
-        model = _FixedPosteriorModel(np.zeros((n, m)), np.zeros((n, m)))
-        est = cross_entropy_to_prior(np.zeros((n, 8)), model, StandardGaussian(m),
-                                     samples_per_x=50, rng=np.random.default_rng(8))
-        want = 0.5 * m * (LOG_2PI + 1.0)
-        se = math.sqrt((m / 2.0) / (n * 50))
-        assert abs(est - want) < 3 * se
-
-    def test_deterministic_given_seed(self):
-        model = _FixedPosteriorModel(np.zeros((1, 3)), np.zeros((1, 3)))
-        runs = [cross_entropy_to_prior(np.zeros((1, 4)), model, StandardGaussian(3),
-                                       1, np.random.default_rng(9))
-                for _ in range(2)]
-        assert runs[0] == runs[1]
-
-    def test_empty_batch_rejected(self):
-        model = _FixedPosteriorModel(np.zeros((0, 3)), np.zeros((0, 3)))
-        with pytest.raises(ContractError):
-            cross_entropy_to_prior(np.zeros((0, 4)), model, StandardGaussian(3),
-                                   1, np.random.default_rng(0))
-
     def test_aggregated_posterior_beats_other_priors(self):
         # The optimal prior is the aggregated posterior itself: realize it as
         # VampDataPrior over all data points and compare cross-entropies with
@@ -311,14 +275,14 @@ class TestCrossEntropyToPrior:
         draws = np.random.default_rng(10).standard_normal((3400, n, m))
         z = Tensor((mean + std * draws).reshape(-1, m))
 
-        nll_agg = -log_prior(z, agg).data
+        nll_agg = -agg.log_prob(z).data
         rivals = [StandardGaussian(m)]
         mog_rng = np.random.default_rng(11)
         rivals.append(MixtureOfGaussians(
             Tensor(mog_rng.normal(0, 1, (4, m))),
             Tensor(mog_rng.uniform(-1, 1, (4, m)))))
         for rival in rivals:
-            diff = -log_prior(z, rival).data - nll_agg
+            diff = -rival.log_prob(z).data - nll_agg
             se = diff.std(ddof=1) / math.sqrt(diff.size)
             assert diff.mean() > 3 * se
 
@@ -343,7 +307,7 @@ class TestVampGradientCoupling:
         with Graph():
             q = encoder(x)
             z = sample_reparam(q, eps)
-            kl = (log_normal_diag(z, q) - log_prior(z, prior)).mean()
+            kl = (log_normal_diag(z, q) - prior.log_prob(z)).mean()
             backward(kl)
         for p in encoder.params():
             assert p.grad is not None
@@ -361,5 +325,5 @@ class TestVampGradientCoupling:
         with Graph():
             q = encoder(x)
             z = sample_reparam(q, eps)
-            backward((log_normal_diag(z, q) - log_prior(z, prior)).mean())
+            backward((log_normal_diag(z, q) - prior.log_prob(z)).mean())
         assert np.abs(encoder.w_mean.grad).max() > 1e-3
