@@ -3,10 +3,20 @@
 A `Graph` is a tape: operations executed inside a ``with Graph():`` block
 append nodes in execution order, which is already a topological order.
 `backward` replays the tape in reverse, accumulating gradients into leaf
-tensors, so it must run inside the block. Leaving the block frees the tape:
-every recorded output drops its node, which breaks the output -> node ->
-graph -> nodes reference cycles, so reference counting releases a pass's
-intermediate arrays at once instead of the cyclic collector some time later.
+tensors, so it must run inside the block.
+
+The tape keeps only what the gradient rules read. A node refers to its
+output weakly and to its inputs as parent nodes (or as the leaf tensors
+that receive gradients), and each `grad_fn` captures arrays and shapes,
+never tensors. An intermediate array no rule reads, such as ``x @ w``
+before its bias is added, is therefore freed as soon as the forward code
+drops its tensor. `backward` consumes the tape: it drops each node's
+`grad_fn`, and with it the arrays the rule captured, as it replays the
+node, so a second `backward` on the same tape is a `ContractError`.
+Leaving the block frees the rest: every recorded output drops its node,
+which breaks the node -> graph -> nodes reference cycles, so reference
+counting releases the tape at once instead of the cyclic collector some
+time later.
 
 Broadcasting is deliberately narrow: two operands are compatible when their
 shapes are equal or one shape is a trailing suffix of the other (the smaller
@@ -17,6 +27,7 @@ always accepted. Nothing wider is supported.
 from __future__ import annotations
 
 import threading
+import weakref
 from typing import Callable, Sequence
 
 import numpy as np
@@ -49,15 +60,22 @@ def _ensure_finite(tag: str, data: Array) -> None:
 
 
 class Node:
-    """One recorded operation: tag, input tensors, output, gradient rule."""
+    """One recorded operation: tag, parents, output, gradient rule.
+
+    `parents` has one entry per input: the input's node when it was recorded
+    on the same graph, the input tensor itself when it is a leaf that
+    requires grad (recorded on no graph or on another one), else None.
+    `out` is a weak reference to the output tensor, and `grad_fn` is None
+    once `backward` has replayed the node.
+    """
 
     # weak-referenceable so a test can watch a node die with its tape
-    __slots__ = ("op", "inputs", "out", "grad_fn", "graph", "index",
+    __slots__ = ("op", "parents", "out", "grad_fn", "graph", "index",
                  "__weakref__")
 
-    def __init__(self, op, inputs, out, grad_fn, graph, index):
+    def __init__(self, op, parents, out, grad_fn, graph, index):
         self.op = op
-        self.inputs = inputs
+        self.parents = parents
         self.out = out
         self.grad_fn = grad_fn
         self.graph = graph
@@ -86,14 +104,17 @@ class Graph:
             raise ContractError("graph context exited out of order")
         stack.pop()
         for node in self.nodes:
-            node.out.node = None
+            out = node.out()
+            if out is not None:
+                out.node = None
         self.nodes.clear()
 
 
 class Tensor:
     """Dense n-dimensional float64 array with an optional gradient slot."""
 
-    __slots__ = ("data", "requires_grad", "grad", "node")
+    # weak-referenceable so a node need not keep its output alive
+    __slots__ = ("data", "requires_grad", "grad", "node", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
@@ -225,7 +246,10 @@ def apply_op(tag: str, out_data: Array, inputs: Sequence[Tensor],
     """Finish a forward op: check finiteness, record on the active graph.
 
     This is the extension point for fused operations: `grad_fn` receives the
-    output gradient and returns one gradient (or None) per input.
+    output gradient and returns one gradient (or None) per input. It must
+    capture arrays and shapes only, never a `Tensor`, and only the arrays
+    it reads: the tape holds nothing else of the forward pass, and
+    `backward` consumes it, dropping `grad_fn` once it has run.
     """
     _ensure_finite(tag, out_data)
     out = Tensor.__new__(Tensor)
@@ -233,7 +257,11 @@ def apply_op(tag: str, out_data: Array, inputs: Sequence[Tensor],
     out.grad = None
     graph = _active_graph()
     if graph is not None and any(t.requires_grad for t in inputs):
-        node = Node(tag, tuple(inputs), out, grad_fn, graph, len(graph.nodes))
+        parents = tuple(
+            t.node if t.node is not None and t.node.graph is graph
+            else t if t.requires_grad else None for t in inputs)
+        node = Node(tag, parents, weakref.ref(out), grad_fn, graph,
+                    len(graph.nodes))
         out.requires_grad = True
         out.node = node
         graph.nodes.append(node)
@@ -272,9 +300,10 @@ def add(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     _broadcast_check("add", a, b)
     out = a.data + b.data
+    a_shape, b_shape = a.shape, b.shape
 
     def grad_fn(g):
-        return _reduce_to(g, a.shape), _reduce_to(g, b.shape)
+        return _reduce_to(g, a_shape), _reduce_to(g, b_shape)
 
     return apply_op("add", out, (a, b), grad_fn)
 
@@ -283,9 +312,10 @@ def sub(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     _broadcast_check("sub", a, b)
     out = a.data - b.data
+    a_shape, b_shape = a.shape, b.shape
 
     def grad_fn(g):
-        return _reduce_to(g, a.shape), _reduce_to(-g, b.shape)
+        return _reduce_to(g, a_shape), _reduce_to(-g, b_shape)
 
     return apply_op("sub", out, (a, b), grad_fn)
 
@@ -295,9 +325,10 @@ def mul(a, b) -> Tensor:
     _broadcast_check("mul", a, b)
     out = a.data * b.data
     a_data, b_data = a.data, b.data
+    a_shape, b_shape = a.shape, b.shape
 
     def grad_fn(g):
-        return _reduce_to(g * b_data, a.shape), _reduce_to(g * a_data, b.shape)
+        return _reduce_to(g * b_data, a_shape), _reduce_to(g * a_data, b_shape)
 
     return apply_op("mul", out, (a, b), grad_fn)
 
@@ -317,11 +348,12 @@ def matmul(a, b) -> Tensor:
                              f"{a.shape} @ {b.shape}")
     out = a.data @ b.data
     a_data, b_data = a.data, b.data
+    a_grad, b_grad = a.requires_grad, b.requires_grad
 
     def grad_fn(g):
         # an operand without requires_grad (a data matrix) gets no gradient
-        return (g @ b_data.T if a.requires_grad else None,
-                a_data.T @ g if b.requires_grad else None)
+        return (g @ b_data.T if a_grad else None,
+                a_data.T @ g if b_grad else None)
 
     return apply_op("matmul", out, (a, b), grad_fn)
 
@@ -562,23 +594,27 @@ def backward(root: Tensor) -> None:
         raise ContractError(f"backward requires a scalar root, got shape "
                             f"{root.shape}")
     graph = root.node.graph
-    pending: dict[int, Array] = {id(root): np.asarray(1.0)}
+    pending: dict[Node, Array] = {root.node: np.asarray(1.0)}
     for node in reversed(graph.nodes[:root.node.index + 1]):
-        gout = pending.pop(id(node.out), None)
+        gout = pending.pop(node, None)
         if gout is None:
             continue
+        if node.grad_fn is None:
+            raise ContractError("backward already consumed this part of the "
+                                "tape; record a new graph")
         grads = node.grad_fn(gout)
-        for inp, gin in zip(node.inputs, grads):
-            if gin is None or not inp.requires_grad:
+        node.grad_fn = None
+        for parent, gin in zip(node.parents, grads):
+            if gin is None or parent is None:
                 continue
             gin = np.asarray(gin, dtype=np.float64)
-            if inp.node is not None and inp.node.graph is graph:
-                seen = pending.get(id(inp))
-                pending[id(inp)] = gin if seen is None else seen + gin
+            if isinstance(parent, Node):
+                seen = pending.get(parent)
+                pending[parent] = gin if seen is None else seen + gin
             else:
-                if inp.grad is None:
-                    inp.grad = np.zeros_like(inp.data)
-                inp.grad += gin
+                if parent.grad is None:
+                    parent.grad = np.zeros_like(parent.data)
+                parent.grad += gin
 
 
 def grad_check(f: Callable[[list[Tensor]], Tensor], params: list[Tensor],

@@ -2,7 +2,8 @@
 inspect-prior.
 
 All artifacts land under --outdir and every command is deterministic given
---seed. Exit codes: 0 success, 1 I/O or state errors, 2 usage errors.
+--seed. Exit codes: 0 success, 1 I/O or state errors, 2 usage errors,
+130 interrupted (Ctrl-C), reported as one `interrupted` line on stderr.
 """
 
 from __future__ import annotations
@@ -35,6 +36,8 @@ from .training import TrainConfig, fit
 
 USAGE_ERROR = 2
 RUNTIME_ERROR = 1
+# the shell's code for a process ended by SIGINT (128 + 2)
+INTERRUPTED = 130
 
 # dataset-name defaults: pseudo-input count, likelihood, binarization,
 # validation rows drawn from the training split
@@ -395,6 +398,9 @@ def main(argv=None) -> int:
     except (VampVaeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return RUNTIME_ERROR
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return INTERRUPTED
     return 0
 
 

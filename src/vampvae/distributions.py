@@ -130,10 +130,12 @@ def log_normal_diag_pairwise(z: Tensor, p: DiagGaussian) -> Tensor:
         np.sum(terms, axis=-1, out=out[lo:lo + terms.shape[0]])
     out *= -0.5
 
+    block = buf.shape
+
     def grad_fn(g):
         g_z = np.empty_like(zd)
         g_mean = g_log_var = None
-        diff_buf, weighted_buf = np.empty_like(buf), np.empty_like(buf)
+        diff_buf, weighted_buf = np.empty(block), np.empty(block)
         for lo in range(0, b, rows):
             diff = _pairwise_diff(zd, mu, lo, diff_buf)
             hi = lo + diff.shape[0]

@@ -220,6 +220,10 @@ def fit(train: np.ndarray, val: np.ndarray, model, config: TrainConfig,
 
     params = model.parameters()
     trainable = {k: p for k, p in params.items() if p.requires_grad}
+    # each update drops its gradients after use; a gradient the caller left
+    # behind must not reach the first one
+    for p in trainable.values():
+        p.zero_grad()
     opt = AdamState(trainable)
     log = TrainLog()
     best = -np.inf
@@ -233,13 +237,15 @@ def fit(train: np.ndarray, val: np.ndarray, model, config: TrainConfig,
             rows = train[order[start:start + config.batch_size]]
             if binarization == "dynamic":
                 rows = dynamic_binarize(rows, train_rng)
-            for p in trainable.values():
-                p.zero_grad()
             with Graph():
                 loss = objective(rows, model, beta, train_rng,
                                  config.mc_samples)
                 backward(loss)
             step(trainable, opt, config.learning_rate)
+            # dropped here, not before the next graph, so validation and
+            # the best-state copy do not sit on top of a full set of them
+            for p in trainable.values():
+                p.zero_grad()
             loss_sum += loss.item() * rows.shape[0]
         train_loss = loss_sum / train.shape[0]
 

@@ -2,12 +2,14 @@
 
 import gc
 import math
+import types
 import weakref
 
 import numpy as np
 import pytest
 
 from vampvae import autodiff as ad
+from vampvae import distributions
 from vampvae.autodiff import Graph, Tensor, backward, concat, grad_check
 from vampvae.errors import ContractError, DimensionError, NumericError
 
@@ -151,6 +153,113 @@ class TestTapeRelease:
             loss = (w * w).sum()
         with pytest.raises(ContractError):
             backward(loss)
+
+
+class TestTapeKeepsOnlyWhatBackwardReads:
+    def test_an_array_no_gradient_reads_dies_with_its_tensor(self):
+        rng = np.random.default_rng(3)
+        x = Tensor(rng.standard_normal((4, 3)))
+        w = Tensor(rng.standard_normal((3, 5)), requires_grad=True)
+        b = Tensor(rng.standard_normal(5), requires_grad=True)
+        gc.disable()
+        try:
+            with Graph():
+                h = x @ w
+                y = (h + b).sigmoid().sum()
+                h_data = weakref.ref(h.data)
+                del h
+                assert h_data() is None
+                backward(y)
+        finally:
+            gc.enable()
+        assert w.grad is not None and b.grad is not None
+
+    def test_backward_consumes_every_replayed_node(self):
+        w = Tensor([0.5, -1.0], requires_grad=True)
+        with Graph() as graph:
+            loss = ((w * w).exp() + w).sum()
+            nodes = list(graph.nodes)
+            backward(loss)
+            assert nodes and all(n.grad_fn is None for n in nodes)
+
+    def test_second_backward_on_the_same_tape_is_a_contract_error(self):
+        w = Tensor([0.5, -1.0], requires_grad=True)
+        with Graph():
+            loss = (w * w).sum()
+            backward(loss)
+            with pytest.raises(ContractError):
+                backward(loss)
+        np.testing.assert_array_equal(w.grad, [1.0, -2.0])
+
+    def test_output_of_an_outer_graph_is_a_leaf_of_the_inner_one(self):
+        w = Tensor([2.0, 3.0], requires_grad=True)
+        with Graph():
+            h = w * w
+            with Graph():
+                backward((h * 3.0).sum())
+        np.testing.assert_array_equal(h.grad, [3.0, 3.0])
+        assert w.grad is None
+
+
+def _recording_ops():
+    """Every autodiff function that records a node, found as the benchmark
+    tracer finds them, plus the fused pairwise density."""
+    ops = {name: fn for name, fn in vars(ad).items()
+           if isinstance(fn, types.FunctionType)
+           and fn.__module__ == ad.__name__ and fn is not ad.apply_op
+           and "apply_op" in fn.__code__.co_names}
+    ops["log_normal_diag_pairwise"] = distributions.log_normal_diag_pairwise
+    return ops
+
+
+# one call per recording op on (3, 4) operands that require grad
+OP_CALLS = {
+    "add": lambda f, a, r: f(a, r),
+    "sub": lambda f, a, r: f(a, r),
+    "mul": lambda f, a, r: f(a, r),
+    "neg": lambda f, a, r: f(a),
+    "matmul": lambda f, a, r: f(a, ad.reshape(r, (4, 1))),
+    "sigmoid": lambda f, a, r: f(a),
+    "tanh": lambda f, a, r: f(a),
+    "softplus": lambda f, a, r: f(a),
+    "exp": lambda f, a, r: f(a),
+    "log": lambda f, a, r: f(a),
+    "square": lambda f, a, r: f(a),
+    "clip": lambda f, a, r: f(a, 0.7, 1.2),
+    "tensor_sum": lambda f, a, r: f(a, 1),
+    "tensor_mean": lambda f, a, r: f(a, 0),
+    "logsumexp": lambda f, a, r: f(a, 1),
+    "reshape": lambda f, a, r: f(a, (4, 3)),
+    "narrow": lambda f, a, r: f(a, 1, 1, 3),
+    "concat": lambda f, a, r: f([a, a], 0),
+    "log_normal_diag_pairwise": lambda f, a, r: f(
+        a, distributions.DiagGaussian(a * 0.5, a * 0.1)),
+}
+
+
+class TestClosureContract:
+    """A `grad_fn` captures arrays and shapes, never a Tensor: a captured
+    tensor would keep its array, its node and the node's parents alive for
+    as long as the tape."""
+
+    def test_every_recording_op_has_a_call(self):
+        assert set(_recording_ops()) == set(OP_CALLS)
+
+    @pytest.mark.parametrize("name", sorted(OP_CALLS))
+    def test_grad_fn_captures_no_tensor(self, name):
+        rng = np.random.default_rng(11)
+        a = Tensor(rng.random((3, 4)) + 0.5, requires_grad=True)
+        r = Tensor(rng.random(4) + 0.5, requires_grad=True)
+        with Graph():
+            out = OP_CALLS[name](_recording_ops()[name], a, r)
+            assert out.node is not None
+            captured = []
+            for cell in out.node.grad_fn.__closure__ or ():
+                value = cell.cell_contents
+                captured.append(value)
+                if isinstance(value, (list, tuple)):
+                    captured.extend(value)
+        assert not [v for v in captured if isinstance(v, Tensor)]
 
 
 UNARY_OPS = [

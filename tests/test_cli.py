@@ -39,6 +39,19 @@ class TestOutputContainment:
                          "checkpoint_final.ckpt"}
 
 
+class TestInterrupt:
+    def test_ctrl_c_exits_130_with_one_line(self, tmp_path, monkeypatch,
+                                            capsys):
+        def interrupted_fit(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "fit", interrupted_fit)
+        argv = (["train"] + TINY_DATA + TINY_MODEL + TINY_TRAIN
+                + ["--outdir", str(tmp_path / "out")])
+        assert cli.main(argv) == cli.INTERRUPTED == 130
+        assert capsys.readouterr().err == "interrupted\n"
+
+
 class TestHelp:
     def test_top_level_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
