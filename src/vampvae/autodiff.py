@@ -245,11 +245,13 @@ def apply_op(tag: str, out_data: Array, inputs: Sequence[Tensor],
              grad_fn: Callable[[Array], tuple]) -> Tensor:
     """Finish a forward op: check finiteness, record on the active graph.
 
-    This is the extension point for fused operations: `grad_fn` receives the
-    output gradient and returns one gradient (or None) per input. It must
-    capture arrays and shapes only, never a `Tensor`, and only the arrays
-    it reads: the tape holds nothing else of the forward pass, and
-    `backward` consumes it, dropping `grad_fn` once it has run.
+    This is the extension point for fused operations, such as
+    `distributions.log_normal_diag_pairwise` and
+    `distributions.log_bernoulli`: `grad_fn` receives the output gradient
+    and returns one gradient (or None) per input. It must capture arrays
+    and shapes only, never a `Tensor`, and only the arrays it reads: the
+    tape holds nothing else of the forward pass, and `backward` consumes
+    it, dropping `grad_fn` once it has run.
     """
     _ensure_finite(tag, out_data)
     out = Tensor.__new__(Tensor)
@@ -295,15 +297,20 @@ def _reduce_to(grad: Array, shape: tuple[int, ...]) -> Array:
 
 
 # -- binary elementwise ops ---------------------------------------------
+#
+# add, sub, mul and matmul compute no gradient for an operand that does not
+# require grad (a data matrix, a noise draw, a constant): it gets None.
 
 def add(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     _broadcast_check("add", a, b)
     out = a.data + b.data
     a_shape, b_shape = a.shape, b.shape
+    a_grad, b_grad = a.requires_grad, b.requires_grad
 
     def grad_fn(g):
-        return _reduce_to(g, a_shape), _reduce_to(g, b_shape)
+        return (_reduce_to(g, a_shape) if a_grad else None,
+                _reduce_to(g, b_shape) if b_grad else None)
 
     return apply_op("add", out, (a, b), grad_fn)
 
@@ -313,9 +320,11 @@ def sub(a, b) -> Tensor:
     _broadcast_check("sub", a, b)
     out = a.data - b.data
     a_shape, b_shape = a.shape, b.shape
+    a_grad, b_grad = a.requires_grad, b.requires_grad
 
     def grad_fn(g):
-        return _reduce_to(g, a_shape), _reduce_to(-g, b_shape)
+        return (_reduce_to(g, a_shape) if a_grad else None,
+                _reduce_to(-g, b_shape) if b_grad else None)
 
     return apply_op("sub", out, (a, b), grad_fn)
 
@@ -326,9 +335,11 @@ def mul(a, b) -> Tensor:
     out = a.data * b.data
     a_data, b_data = a.data, b.data
     a_shape, b_shape = a.shape, b.shape
+    a_grad, b_grad = a.requires_grad, b.requires_grad
 
     def grad_fn(g):
-        return _reduce_to(g * b_data, a_shape), _reduce_to(g * a_data, b_shape)
+        return (_reduce_to(g * b_data, a_shape) if a_grad else None,
+                _reduce_to(g * a_data, b_shape) if b_grad else None)
 
     return apply_op("mul", out, (a, b), grad_fn)
 
@@ -351,7 +362,6 @@ def matmul(a, b) -> Tensor:
     a_grad, b_grad = a.requires_grad, b.requires_grad
 
     def grad_fn(g):
-        # an operand without requires_grad (a data matrix) gets no gradient
         return (g @ b_data.T if a_grad else None,
                 a_data.T @ g if b_grad else None)
 

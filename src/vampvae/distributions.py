@@ -4,6 +4,12 @@ discretized logistic intensities, and the reparameterization transform.
 All functions treat the last axis as the event dimension and reduce over it,
 so a (B, M) input yields a (B,) tensor of per-row log-densities and an (M,)
 input yields a scalar.
+
+Two densities are fused graph nodes that work through their rows in blocks
+of a small reused buffer: `log_normal_diag_pairwise` (tag
+``normal_logpdf_pairwise``) and `log_bernoulli` (tag ``log_bernoulli``).
+Each follows the operation order of the unfused op chain it replaces, so
+its bytes are that chain's, without the chain's full-size temporaries.
 """
 
 from __future__ import annotations
@@ -33,6 +39,10 @@ PROB_FLOOR = 1e-7
 # backward uses two): small enough to stay in a core's L2 cache instead of
 # streaming (B, K, M) temporaries through memory.
 PAIRWISE_BLOCK_BYTES = 640 * 1024
+
+# Bytes of each of the two buffers one block of the Bernoulli
+# log-likelihood works in.
+BERNOULLI_BLOCK_BYTES = 128 * 1024
 
 
 class DiagGaussian:
@@ -166,19 +176,86 @@ def sample_reparam(p: DiagGaussian, eps: Tensor) -> Tensor:
     return ad.add(p.mean, ad.mul(std, eps))
 
 
+def bernoulli_block_rows(d: int) -> int:
+    """Rows per block of the fused Bernoulli log-likelihood: as many D-wide
+    rows as fit in BERNOULLI_BLOCK_BYTES, and at least one."""
+    return max(1, BERNOULLI_BLOCK_BYTES // (8 * max(d, 1)))
+
+
+def _rows(t: Tensor, shape: tuple[int, ...]) -> np.ndarray:
+    """`t` broadcast to `shape` as a (rows, D) matrix; a view when `t`
+    already has that shape and is contiguous."""
+    return np.broadcast_to(t.data, shape).reshape(-1, shape[-1])
+
+
 def log_bernoulli(x: Tensor, logits: Tensor) -> Tensor:
     """Bernoulli log-mass sum_d [x log s(l) + (1-x) log(1-s(l))].
 
     Computed in the fused form x*l - softplus(l), which is exact for hard
     targets, linear in soft targets, and immune to sigmoid saturation.
+
+    One graph node whose forward runs over blocks of `bernoulli_block_rows`
+    rows in two reused buffers, in the order of the op chain
+    ``sum(x * l - softplus(l))``. The backward returns ``(-g) s(l) + g x``
+    for the logits, the order in which that chain's tape added them up, and
+    ``g l`` for x only when x requires grad. Operands broadcast as in
+    `autodiff`, with the chain's bits, except the gradient of logits
+    broadcast over a larger x: it is reduced once, not once per term.
     """
     x = x if isinstance(x, Tensor) else Tensor(x)
+    logits = logits if isinstance(logits, Tensor) else Tensor(logits)
     if np.any(x.data < 0.0) or np.any(x.data > 1.0):
         raise DomainError("log_bernoulli targets must lie in [0, 1]")
     if x.shape[-1] != logits.shape[-1]:
         raise DimensionError(f"log_bernoulli: target dim {x.shape[-1]} != "
                              f"logit dim {logits.shape[-1]}")
-    return ad.sub(ad.mul(x, logits), ad.softplus(logits)).sum(axis=-1)
+    ad._broadcast_check("log_bernoulli", x, logits)
+    shape = max(x.shape, logits.shape, key=len)
+    xr, lr = _rows(x, shape), _rows(logits, shape)
+    n, d = lr.shape
+    rows = bernoulli_block_rows(d)
+    soft, prod = np.empty((min(rows, n), d)), np.empty((min(rows, n), d))
+    out = np.empty(n)
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        sp, xl = soft[:hi - lo], prod[:hi - lo]
+        np.abs(lr[lo:hi], out=sp)
+        np.negative(sp, out=sp)
+        np.exp(sp, out=sp)
+        np.log1p(sp, out=sp)
+        np.add(np.maximum(lr[lo:hi], 0.0, out=xl), sp, out=sp)
+        np.multiply(xr[lo:hi], lr[lo:hi], out=xl)
+        np.subtract(xl, sp, out=xl)
+        np.sum(xl, axis=-1, out=out[lo:hi])
+
+    x_shape, l_shape = x.shape, logits.shape
+    x_grad, l_grad = x.requires_grad, logits.requires_grad
+    block = soft.shape
+
+    def grad_fn(g):
+        gr = np.reshape(g, (n, 1))
+        g_x = g_l = None
+        if x_grad:
+            g_x = ad._reduce_to(np.multiply(gr, lr).reshape(shape), x_shape)
+        if l_grad:
+            g_l = np.empty((n, d))
+            buf = np.empty(block)
+            for lo in range(0, n, rows):
+                hi = min(lo + rows, n)
+                gb, s = gr[lo:hi], g_l[lo:hi]
+                np.negative(lr[lo:hi], out=s)
+                with np.errstate(over="ignore"):
+                    np.exp(s, out=s)
+                np.add(1.0, s, out=s)
+                np.divide(1.0, s, out=s)
+                np.multiply(np.negative(gb), s, out=s)
+                np.add(s, np.multiply(gb, xr[lo:hi], out=buf[:hi - lo]),
+                       out=s)
+            g_l = ad._reduce_to(g_l.reshape(shape), l_shape)
+        return g_x, g_l
+
+    return ad.apply_op("log_bernoulli", out.reshape(shape[:-1]), (x, logits),
+                       grad_fn)
 
 
 def log_discretized_logistic(x: Tensor, mean: Tensor, log_scale: Tensor) -> Tensor:

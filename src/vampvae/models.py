@@ -13,7 +13,9 @@ from __future__ import annotations
 import copy
 import json
 import math
+import os
 import struct
+import sys
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -471,15 +473,23 @@ def reconstruct(x, model: Model, rng) -> np.ndarray:
     return model.decode(*rec.latents()).mean_value()
 
 
+def _check_shapes(params: dict[str, Tensor], shapes: dict) -> None:
+    """The rule a snapshot of name -> shape must meet to fill `params`: the
+    same names, and each shape equal to its tensor's; ContractError
+    otherwise."""
+    if set(params) != set(shapes):
+        raise ContractError("tensor names do not match the model")
+    for name, t in params.items():
+        if tuple(t.shape) != tuple(shapes[name]):
+            raise ContractError(f"tensor '{name}' has shape "
+                                f"{tuple(shapes[name])}, expected {t.shape}")
+
+
 def set_parameters(model: Model, state: dict[str, np.ndarray]) -> None:
     """Overwrite all model parameters from a name -> array snapshot."""
     params = model.parameters()
-    if set(params) != set(state):
-        raise ContractError("tensor names do not match the model")
+    _check_shapes(params, {name: a.shape for name, a in state.items()})
     for name, t in params.items():
-        if tuple(t.shape) != tuple(state[name].shape):
-            raise ContractError(f"tensor '{name}' has shape "
-                                f"{state[name].shape}, expected {t.shape}")
         t.data = np.array(state[name], dtype=np.float64)
 
 
@@ -519,52 +529,76 @@ def _checked_manifest(tensors) -> list:
 
 
 def load_checkpoint(path) -> Model:
-    """Rebuild a model from a checkpoint; bitwise inverse of save."""
+    """Rebuild a model from a checkpoint; bitwise inverse of save.
+
+    The header and the payload layout are checked against the file's size
+    before the model is built; each payload is then read straight into its
+    parameter's array, so no second copy of the parameters exists.
+    """
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 4 or blob[:4] != CHECKPOINT_MAGIC:
-        raise FormatError("bad checkpoint magic", offset=0)
-    if len(blob) < 8:
-        raise FormatError("truncated checkpoint header", offset=4)
-    version = struct.unpack("<I", blob[4:8])[0]
-    if version != CHECKPOINT_VERSION:
-        raise FormatError(f"unsupported checkpoint version {version} "
-                          f"(expected {CHECKPOINT_VERSION})", offset=4)
-    if len(blob) < 12:
-        raise FormatError("truncated checkpoint header", offset=8)
-    header_len = struct.unpack("<I", blob[8:12])[0]
-    if len(blob) < 12 + header_len:
-        raise FormatError("truncated checkpoint metadata", offset=12)
-    try:
-        meta = json.loads(blob[12:12 + header_len].decode("utf-8"))
-        spec = ModelSpec(**meta["spec"])
-        manifest = _checked_manifest(meta["tensors"])
-    except (ValueError, KeyError, TypeError, ContractError) as exc:
-        raise FormatError(f"bad checkpoint metadata: {exc}", offset=12) from exc
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(12)
+        if len(head) < 4 or head[:4] != CHECKPOINT_MAGIC:
+            raise FormatError("bad checkpoint magic", offset=0)
+        if len(head) < 8:
+            raise FormatError("truncated checkpoint header", offset=4)
+        version = struct.unpack("<I", head[4:8])[0]
+        if version != CHECKPOINT_VERSION:
+            raise FormatError(f"unsupported checkpoint version {version} "
+                              f"(expected {CHECKPOINT_VERSION})", offset=4)
+        if len(head) < 12:
+            raise FormatError("truncated checkpoint header", offset=8)
+        header_len = struct.unpack("<I", head[8:12])[0]
+        if size < 12 + header_len:
+            raise FormatError("truncated checkpoint metadata", offset=12)
+        try:
+            meta = json.loads(fh.read(header_len).decode("utf-8"))
+            spec = ModelSpec(**meta["spec"])
+            manifest = _checked_manifest(meta["tensors"])
+        except (ValueError, KeyError, TypeError, ContractError) as exc:
+            raise FormatError(f"bad checkpoint metadata: {exc}",
+                              offset=12) from exc
 
-    offset = 12 + header_len
-    arrays: dict[str, np.ndarray] = {}
-    for name, shape in manifest:
-        count = math.prod(shape)
-        nbytes = count * 8
-        if len(blob) < offset + nbytes:
-            raise FormatError(f"truncated payload for tensor '{name}'",
+        offset = 12 + header_len
+        for name, shape in manifest:
+            nbytes = math.prod(shape) * 8
+            if size < offset + nbytes:
+                raise FormatError(f"truncated payload for tensor '{name}'",
+                                  offset=offset)
+            offset += nbytes
+        if offset != size:
+            raise FormatError("trailing bytes after checkpoint payload",
                               offset=offset)
-        arrays[name] = np.frombuffer(blob, dtype="<f8", count=count,
-                                     offset=offset).reshape(shape)
-        offset += nbytes
-    if offset != len(blob):
-        raise FormatError("trailing bytes after checkpoint payload",
-                          offset=offset)
 
-    rng = np.random.default_rng(0)
-    placeholder = None
-    if spec.prior_kind == "vamp-data":
-        placeholder = np.zeros((spec.prior_components, spec.data_dim))
-    model = build_model(spec, rng, data_rows=placeholder)
-    try:
-        set_parameters(model, arrays)
-    except ContractError as exc:
-        raise FormatError(f"checkpoint tensors do not match the model "
-                          f"architecture: {exc}", offset=12) from exc
+        placeholder = None
+        if spec.prior_kind == "vamp-data":
+            placeholder = np.zeros((spec.prior_components, spec.data_dim))
+        model = build_model(spec, np.random.default_rng(0),
+                            data_rows=placeholder)
+        params = model.parameters()
+        try:
+            _check_shapes(params, dict(manifest))
+        except ContractError as exc:
+            raise FormatError(f"checkpoint tensors do not match the model "
+                              f"architecture: {exc}", offset=12) from exc
+        offset = 12 + header_len
+        for name, _ in manifest:
+            data = params[name].data
+            _read_payload(fh, name, data, offset)
+            offset += data.nbytes
     return model
+
+
+def _read_payload(fh, name: str, data: np.ndarray, offset: int) -> None:
+    """Fill the C-contiguous float64 `data` from the little-endian payload
+    at `offset`, where `fh` stands; FormatError if the file ends early or a
+    value is not finite."""
+    if fh.readinto(memoryview(data).cast("B")) != data.nbytes:
+        raise FormatError(f"truncated payload for tensor '{name}'",
+                          offset=offset)
+    if sys.byteorder == "big":
+        data.byteswap(inplace=True)
+    finite = np.isfinite(data)
+    if not finite.all():
+        raise FormatError(f"non-finite value in tensor '{name}'",
+                          offset=offset + 8 * int(np.argmin(finite)))

@@ -1,4 +1,7 @@
-"""Shared test fixtures: linear-Gaussian toy models with known marginals."""
+"""Shared test fixtures: linear-Gaussian toy models with known marginals,
+and a heap-peak probe."""
+
+import tracemalloc
 
 import numpy as np
 
@@ -73,3 +76,19 @@ def zero_parameters(model) -> None:
     """Zero every parameter tensor in place (degenerate-model fixture)."""
     for t in model.parameters().values():
         t.data[...] = 0.0
+
+
+def peak_mb_above_held(fn):
+    """fn's result and the peak of the heap, traced by tracemalloc (numpy
+    included), above what was held when fn started, in MB."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = fn()
+        return result, (tracemalloc.get_traced_memory()[1] - held) / 2**20
+    finally:
+        if started:
+            tracemalloc.stop()

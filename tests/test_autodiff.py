@@ -202,14 +202,14 @@ class TestTapeKeepsOnlyWhatBackwardReads:
 
 
 def _recording_ops():
-    """Every autodiff function that records a node, found as the benchmark
-    tracer finds them, plus the fused pairwise density."""
-    ops = {name: fn for name, fn in vars(ad).items()
-           if isinstance(fn, types.FunctionType)
-           and fn.__module__ == ad.__name__ and fn is not ad.apply_op
-           and "apply_op" in fn.__code__.co_names}
-    ops["log_normal_diag_pairwise"] = distributions.log_normal_diag_pairwise
-    return ops
+    """Every function of `autodiff` and `distributions` that records a node
+    (the ops and the fused densities), found as the benchmark tracer finds
+    them."""
+    return {name: fn for module in (ad, distributions)
+            for name, fn in vars(module).items()
+            if isinstance(fn, types.FunctionType)
+            and fn.__module__ == module.__name__ and fn is not ad.apply_op
+            and "apply_op" in fn.__code__.co_names}
 
 
 # one call per recording op on (3, 4) operands that require grad
@@ -234,6 +234,7 @@ OP_CALLS = {
     "concat": lambda f, a, r: f([a, a], 0),
     "log_normal_diag_pairwise": lambda f, a, r: f(
         a, distributions.DiagGaussian(a * 0.5, a * 0.1)),
+    "log_bernoulli": lambda f, a, r: f(a * 0.5, a),
 }
 
 
@@ -371,6 +372,32 @@ class TestMatmulOperandGradients:
             out = w @ Tensor(rng.standard_normal((3, 6)))
             gw, gy = out.node.grad_fn(rng.standard_normal((4, 6)))
         assert gw is not None and gy is None
+
+
+class TestElementwiseOperandGradients:
+    """`add`, `sub` and `mul` follow `matmul`'s rule: an operand without
+    requires_grad gets None, and the other operand's gradient keeps its
+    bits, a broadcast operand's reduction included."""
+
+    @pytest.mark.parametrize("op,want", [
+        (ad.add, lambda g, a, b: (g.sum(axis=0), g)),
+        (ad.sub, lambda g, a, b: (g.sum(axis=0), -g)),
+        (ad.mul, lambda g, a, b: ((g * b).sum(axis=0), g * a)),
+    ], ids=["add", "sub", "mul"])
+    def test_operand_without_grad_gets_none(self, op, want):
+        rng = np.random.default_rng(6)
+        a, b = rng.standard_normal(4), rng.standard_normal((3, 4))
+        g = rng.standard_normal((3, 4))
+        want_a, want_b = want(g, a, b)
+        for a_grad in (True, False):
+            with Graph():
+                out = op(Tensor(a, requires_grad=a_grad),
+                         Tensor(b, requires_grad=not a_grad))
+                ga, gb = out.node.grad_fn(g)
+            got, wanted = (ga, want_a) if a_grad else (gb, want_b)
+            assert (gb if a_grad else ga) is None
+            np.testing.assert_array_equal(got.view(np.int64),
+                                          wanted.view(np.int64))
 
 
 class TestCompositions:

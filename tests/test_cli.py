@@ -159,6 +159,20 @@ class TestEvaluate:
         assert err.startswith("error: bad checkpoint metadata")
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    def test_non_finite_checkpoint_payload_exits_one(self, trained, tmp_path,
+                                                     capsys):
+        blob = bytearray((trained / "checkpoint_best.ckpt").read_bytes())
+        blob[-8:] = np.array([np.nan], dtype="<f8").tobytes()
+        bad = tmp_path / "nan.ckpt"
+        bad.write_bytes(bytes(blob))
+        argv = (["evaluate", "--checkpoint", str(bad)] + TINY_DATA
+                + ["--outdir", str(tmp_path / "out")])
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: non-finite value in tensor 'prior.")
+        assert f"(at byte offset {len(blob) - 8})" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_non_integer_worker_env_is_usage_error(self, trained, tmp_path,
                                                    monkeypatch, capsys):
         monkeypatch.setenv("VAMPVAE_THREADS", "abc")

@@ -163,6 +163,126 @@ class TestLogBernoulli:
             assert log_bernoulli(Tensor(x), Tensor(logits)).item() <= 0.0
 
 
+def _unfused_bernoulli(x, logits):
+    """The op chain the fused node replaced, kept as the bitwise reference."""
+    return ad.sub(ad.mul(x, logits), ad.softplus(logits)).sum(axis=-1)
+
+
+def _bernoulli_run(fn, x, logits, g, x_grad=True):
+    """fn's value and the gradients `backward` delivers to x and the logits
+    for upstream gradient g. They are read where they arrive, at a reshape
+    in front of each leaf: a leaf adds its gradient to zeros, which would
+    hide the sign of a zero."""
+    seen = {}
+
+    def capture(name):
+        def grad_fn(grad):
+            seen[name] = grad
+            return (grad,)
+        return grad_fn
+
+    with Graph():
+        xt = ad.reshape(Tensor(x, requires_grad=x_grad), x.shape)
+        lt = ad.reshape(Tensor(logits, requires_grad=True), logits.shape)
+        for name, t in (("x", xt), ("logits", lt)):
+            if t.node is not None:
+                t.node.grad_fn = capture(name)
+        out = fn(xt, lt)
+        backward(ad.mul(out, Tensor(g)).sum())
+    return out.data, seen.get("x"), seen.get("logits")
+
+
+class TestFusedBernoulli:
+    D = 784
+
+    def _assert_matches_chain(self, x, logits, g, x_grad=True):
+        got = _bernoulli_run(log_bernoulli, x, logits, g, x_grad)
+        want = _bernoulli_run(_unfused_bernoulli, x, logits, g, x_grad)
+        for a, w in zip(got, want):
+            if w is None:
+                assert a is None
+            else:
+                _assert_same_bits(np.asarray(a), np.asarray(w))
+
+    @pytest.mark.parametrize("b_offset", ["one", -1, 0, 1, "101"])
+    def test_forward_and_gradients_match_the_op_chain(self, b_offset):
+        rows = dist.bernoulli_block_rows(self.D)
+        b = {"one": 1, "101": 101}.get(b_offset) or rows + b_offset
+        rng = np.random.default_rng(2000 + b)
+        x = (rng.random((b, self.D)) < 0.3).astype(float)
+        logits = rng.standard_normal((b, self.D)) * 4.0
+        self._assert_matches_chain(x, logits, rng.standard_normal(b))
+
+    def test_one_row_vector(self):
+        rng = np.random.default_rng(21)
+        x = (rng.random(self.D) < 0.5).astype(float)
+        self._assert_matches_chain(x, rng.standard_normal(self.D),
+                                   np.asarray(rng.standard_normal()))
+
+    def test_soft_targets_and_saturated_logits(self):
+        rng = np.random.default_rng(22)
+        b = 2 * dist.bernoulli_block_rows(self.D) + 3
+        x = rng.random((b, self.D))
+        logits = rng.choice([-800.0, 800.0], (b, self.D))
+        logits[:, ::3] = rng.standard_normal((b, len(range(0, self.D, 3))))
+        self._assert_matches_chain(x, logits, rng.standard_normal(b))
+
+    def test_signed_zeros_in_the_gradients_match(self):
+        rng = np.random.default_rng(23)
+        b = dist.bernoulli_block_rows(self.D) + 1
+        # a zero upstream gradient, zero logits and negative-zero targets
+        # make signed-zero terms
+        x = (rng.random((b, self.D)) < 0.3).astype(float)
+        x[:, :5] = -0.0
+        logits = rng.standard_normal((b, self.D))
+        logits[:, 5:10] = 0.0
+        g = rng.standard_normal(b)
+        g[:3] = 0.0
+        g[3] = -0.0
+        want = _bernoulli_run(_unfused_bernoulli, x, logits, g)
+        assert np.signbit(want[2][0]).any() and np.signbit(want[1][3]).any()
+        self._assert_matches_chain(x, logits, g)
+
+    def test_targets_without_grad_get_none(self):
+        rng = np.random.default_rng(24)
+        x = (rng.random((5, 7)) < 0.5).astype(float)
+        logits = rng.standard_normal((5, 7))
+        self._assert_matches_chain(x, logits, rng.standard_normal(5),
+                                   x_grad=False)
+        with Graph():
+            out = log_bernoulli(Tensor(x), Tensor(logits, requires_grad=True))
+            g_x, g_logits = out.node.grad_fn(np.ones(5))
+        assert g_x is None and g_logits.shape == (5, 7)
+
+    def test_one_target_row_broadcast_over_the_logits(self):
+        rng = np.random.default_rng(25)
+        x = (rng.random(7) < 0.5).astype(float)
+        self._assert_matches_chain(x, rng.standard_normal((30, 7)),
+                                   rng.standard_normal(30))
+
+    def test_empty_batch(self):
+        with Graph():
+            logits = Tensor(np.zeros((0, 4)), requires_grad=True)
+            out = log_bernoulli(Tensor(np.zeros((0, 4))), logits)
+            _, g_logits = out.node.grad_fn(np.zeros(0))
+        assert out.shape == (0,) and g_logits.shape == (0, 4)
+
+    def test_out_of_range_and_mismatched_shapes_rejected(self):
+        with pytest.raises(DomainError):
+            log_bernoulli(Tensor([[0.5, -0.1]]), Tensor([[0.0, 0.0]]))
+        with pytest.raises(DimensionError):
+            log_bernoulli(Tensor([[0.5, 0.5]]), Tensor([[0.0, 0.0, 0.0]]))
+        with pytest.raises(DimensionError):
+            log_bernoulli(Tensor(np.zeros((2, 3, 4))),
+                          Tensor(np.zeros((3, 2, 4))))
+
+    def test_block_rows_follow_the_byte_budget(self):
+        assert dist.bernoulli_block_rows(self.D) * self.D * 8 \
+            <= dist.BERNOULLI_BLOCK_BYTES
+        assert dist.bernoulli_block_rows(10**6) == 1
+        assert dist.bernoulli_block_rows(0) >= 1
+
+
 class TestLogDiscretizedLogistic:
     def test_direct_cdf_difference_at_target(self):
         # Oracle: evaluate the two CDFs directly for mean == x.

@@ -9,7 +9,7 @@ import pytest
 from scipy import stats
 from scipy.special import logsumexp as scipy_lse
 
-from helpers import LinearGaussianModel, zero_parameters
+from helpers import LinearGaussianModel, peak_mb_above_held, zero_parameters
 from vampvae.autodiff import Graph, Tensor, backward
 from vampvae.datasets import synth_clusters
 from vampvae.distributions import DiagGaussian
@@ -25,7 +25,12 @@ from vampvae.evaluation import (
     ll_histogram,
     per_example_log_likelihood,
 )
-from vampvae.models import build_model, save_checkpoint, with_frozen_prior
+from vampvae.models import (
+    ModelSpec,
+    build_model,
+    save_checkpoint,
+    with_frozen_prior,
+)
 from vampvae.training import (
     AdamState,
     TrainConfig,
@@ -549,3 +554,21 @@ class TestRowOnceEncoding:
             value /= 3
             np.testing.assert_array_equal(got[key].view(np.int64),
                                           value.view(np.int64))
+
+
+class TestIsChunkMemory:
+    def test_paper_scale_chunk_stays_under_12_mb(self):
+        # one S=500 chunk at the paper's sizes with a frozen prior reads
+        # about 9 MB: the fused Bernoulli node works in two small buffers,
+        # where the op chain it replaced peaked at about 12 MB by itself and
+        # took the chunk to about 16 MB
+        rng = np.random.default_rng(0)
+        spec = ModelSpec(levels=2, data_dim=784, prior_kind="vamp",
+                         prior_components=500)
+        x = (rng.random((1, 784)) < 0.3).astype(np.float64)
+        model = with_frozen_prior(build_model(spec, rng))
+        encoded = model.encode_x(np.repeat(x, 500, axis=0))
+        weights, peak_mb = peak_mb_above_held(
+            lambda: model.log_importance_weight(encoded, rng))
+        assert weights.shape == (500,)
+        assert peak_mb < 12.0

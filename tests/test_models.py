@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from helpers import LinearGaussianModel, zero_parameters
+from helpers import LinearGaussianModel, peak_mb_above_held, zero_parameters
 from vampvae import autodiff as ad
+from vampvae import models
 from vampvae.autodiff import Graph, Tensor, backward, grad_check
 from vampvae.errors import ContractError, DimensionError, FormatError
 from vampvae.models import (
@@ -287,6 +288,73 @@ class TestCheckpoints:
         path.write_bytes(path.read_bytes() + b"junk")
         with pytest.raises(FormatError):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["first-tensor", "last-value"])
+    def test_non_finite_payload_rejected_at_its_offset(self, tmp_path, value,
+                                                       where):
+        model = tiny_model(2, "vamp", seed=18)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(model, path)
+        blob = bytearray(path.read_bytes())
+        names = list(model.parameters())
+        payload = 12 + int.from_bytes(blob[8:12], "little")
+        offset, name = {"first-tensor": (payload + 8, names[0]),
+                        "last-value": (len(blob) - 8, names[-1])}[where]
+        blob[offset:offset + 8] = np.array([value], dtype="<f8").tobytes()
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError,
+                           match=f"non-finite value in tensor '{name}'") as err:
+            load_checkpoint(path)
+        assert err.value.offset == offset
+
+    def test_short_read_is_a_truncated_payload(self, tmp_path, monkeypatch):
+        # the file shrinks between the size check and the read
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(tiny_model(1), path)
+        blob = path.read_bytes()
+        payload = 12 + int.from_bytes(blob[8:12], "little")
+        real_open = open
+
+        class ShortReads:
+            def __init__(self, fh):
+                self._fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self._fh.close()
+
+            def readinto(self, buf):
+                return max(0, self._fh.readinto(buf) - 1)
+
+            def __getattr__(self, attr):
+                return getattr(self._fh, attr)
+
+        monkeypatch.setattr(models, "open",
+                            lambda *a, **kw: ShortReads(real_open(*a, **kw)),
+                            raising=False)
+        with pytest.raises(FormatError,
+                           match="truncated payload for tensor 'encoder.0.w1'"
+                           ) as err:
+            load_checkpoint(path)
+        assert err.value.offset == payload
+
+
+class TestCheckpointMemory:
+    def test_paper_scale_load_holds_one_copy_of_the_parameters(self,
+                                                                tmp_path):
+        # each payload is read into its parameter's array; holding the file
+        # next to the rebuilt model read about twice the parameter bytes
+        spec = ModelSpec(levels=2, data_dim=784, prior_kind="vamp",
+                         prior_components=500)
+        path = tmp_path / "paper.ckpt"
+        save_checkpoint(build_model(spec, np.random.default_rng(0)), path)
+        model, peak_mb = peak_mb_above_held(lambda: load_checkpoint(path))
+        param_mb = sum(t.data.nbytes
+                       for t in model.parameters().values()) / 2**20
+        assert peak_mb <= param_mb + 1.0
 
 
 class TestModelSpec:

@@ -1,12 +1,11 @@
 """Tests for the objective, optimizer, binarization, and fitting loop."""
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 
-from helpers import zero_parameters
+from helpers import peak_mb_above_held, zero_parameters
 from vampvae import training
 from vampvae.autodiff import Graph, Tensor, backward
 from vampvae.datasets import synth_clusters
@@ -354,17 +353,11 @@ class TestTapeMemory:
         spec = ModelSpec(levels=2, data_dim=784, prior_kind="vamp",
                          prior_components=500)
         model = build_model(spec, rng, data_mean=x.mean(axis=0))
-        started = not tracemalloc.is_tracing()
-        if started:
-            tracemalloc.start()
-        try:
-            held = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
+
+        def step():
             with Graph():
                 backward(objective(x, model, 1.0, rng))
-            peak_mb = (tracemalloc.get_traced_memory()[1] - held) / 2**20
-        finally:
-            if started:
-                tracemalloc.stop()
+
+        _, peak_mb = peak_mb_above_held(step)
         assert model.parameters()["prior.pseudo_inputs"].grad is not None
         assert peak_mb < 45.0
