@@ -179,18 +179,6 @@ class Tensor:
 
     # -- elementwise functions ------------------------------------------
 
-    def sigmoid(self):
-        return sigmoid(self)
-
-    def softplus(self):
-        return softplus(self)
-
-    def exp(self):
-        return exp(self)
-
-    def log(self):
-        return log(self)
-
     def square(self):
         return square(self)
 
@@ -387,17 +375,6 @@ def sigmoid(a) -> Tensor:
     return apply_op("sigmoid", s, (a,), grad_fn)
 
 
-def tanh(a) -> Tensor:
-    a = _as_tensor(a)
-    out = np.tanh(a.data)
-    t = out
-
-    def grad_fn(g):
-        return (g * (1.0 - t * t),)
-
-    return apply_op("tanh", out, (a,), grad_fn)
-
-
 def softplus(a) -> Tensor:
     # max(x, 0) + log1p(exp(-|x|)): overflow-safe for any x.
     a = _as_tensor(a)
@@ -477,18 +454,21 @@ def _norm_axis(tag: str, axis, ndim: int) -> int | None:
     return axis
 
 
+def _spread(g: Array, axis: int | None, shape: tuple[int, ...]) -> Array:
+    """A reduction's output gradient repeated over the axis it reduced (over
+    all of `shape` when `axis` is None)."""
+    if axis is None:
+        return np.broadcast_to(g, shape).copy()
+    return np.repeat(np.expand_dims(g, axis), shape[axis], axis=axis)
+
+
 def tensor_sum(a, axis=None) -> Tensor:
     a = _as_tensor(a)
     axis = _norm_axis("sum", axis, a.ndim)
     out = a.data.sum(axis=axis)
     shape = a.shape
-
-    def grad_fn(g):
-        if axis is None:
-            return (np.broadcast_to(g, shape).copy(),)
-        return (np.repeat(np.expand_dims(g, axis), shape[axis], axis=axis),)
-
-    return apply_op("sum", np.asarray(out), (a,), grad_fn)
+    return apply_op("sum", np.asarray(out), (a,),
+                    lambda g: (_spread(g, axis, shape),))
 
 
 def tensor_mean(a, axis=None) -> Tensor:
@@ -497,13 +477,8 @@ def tensor_mean(a, axis=None) -> Tensor:
     n = a.size if axis is None else a.shape[axis]
     out = a.data.mean(axis=axis)
     shape = a.shape
-
-    def grad_fn(g):
-        if axis is None:
-            return (np.broadcast_to(g / n, shape).copy(),)
-        return (np.repeat(np.expand_dims(g / n, axis), shape[axis], axis=axis),)
-
-    return apply_op("mean", np.asarray(out), (a,), grad_fn)
+    return apply_op("mean", np.asarray(out), (a,),
+                    lambda g: (_spread(g / n, axis, shape),))
 
 
 def logsumexp(a, axis=None) -> Tensor:

@@ -349,6 +349,12 @@ def cmd_reconstruct(args) -> int:
 def cmd_inspect_prior(args, parser: argparse.ArgumentParser) -> int:
     model = load_checkpoint(args.checkpoint)
     prior = model.prior
+    if not isinstance(prior, (VampPrior, MixtureOfGaussians)):
+        raise VampVaeError("no inspectable prior parameters (standard "
+                           "Gaussian prior)")
+    if args.component is not None and not 0 <= args.component < prior.k:
+        parser.error(f"--component {args.component} out of range for "
+                     f"K={prior.k}")
     out = _outdir(args)
     shape = pgm.tile_shape(model.spec.data_dim)
     rng = np.random.default_rng(args.seed)
@@ -358,20 +364,14 @@ def cmd_inspect_prior(args, parser: argparse.ArgumentParser) -> int:
         pgm.write_grid(values[:args.n], shape, out / "pseudo_inputs.pgm")
         print(f"wrote {min(args.n, values.shape[0])} pseudo-inputs to "
               f"{out / 'pseudo_inputs.pgm'}")
-    elif isinstance(prior, MixtureOfGaussians):
+    else:
         means = prior.means.data[:args.n]
         decoded = model.generate_from_top(means, rng, None).x_mean
         pgm.write_grid(decoded, shape, out / "mog_means.pgm")
         print(f"wrote {means.shape[0]} decoded component means to "
               f"{out / 'mog_means.pgm'}")
-    else:
-        raise VampVaeError("no inspectable prior parameters (standard "
-                           "Gaussian prior)")
 
     if args.component is not None:
-        if not 0 <= args.component < prior.k:
-            parser.error(f"--component {args.component} out of range for "
-                         f"K={prior.k}")
         gen = generate(model, args.n, rng, component=args.component)
         path = out / f"component_{args.component}.pgm"
         pgm.write_grid(gen.x_mean, shape, path)

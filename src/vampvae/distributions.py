@@ -289,7 +289,6 @@ class BernoulliParams:
     """Pixel-wise Bernoulli likelihood parameterized by logits."""
 
     __slots__ = ("logits",)
-    kind = "bernoulli"
 
     def __init__(self, logits: Tensor):
         self.logits = logits
@@ -305,7 +304,6 @@ class DiscretizedLogisticParams:
     """Discretized-logistic likelihood with mean in [0, 1] and a log-scale."""
 
     __slots__ = ("mean", "log_scale")
-    kind = "logistic"
 
     def __init__(self, mean: Tensor, log_scale: Tensor):
         if mean.shape != log_scale.shape:

@@ -165,7 +165,7 @@ def active_units(data: np.ndarray, model,
     else:
         q2 = model.encode_top(x)
         mu2 = q2.mean.data
-        q1 = model.encode_bottom(x, Tensor(mu2))
+        q1 = model.encode_bottom(model.enc_z1_x(x), Tensor(mu2))
         mus = [q1.mean.data, mu2]
     # reduce over a sorted copy so the statistic is exactly invariant to
     # permutations of the dataset rows

@@ -10,6 +10,7 @@ gated dense layers followed by an affine head emitting (mean, log_var).
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import json
 import math
@@ -357,10 +358,8 @@ class Hvae(Module):
     def encode_top(self, x: Tensor) -> DiagGaussian:
         return self.enc_z2_head(self.enc_z2(x))
 
-    def encode_bottom(self, x: Tensor, z2: Tensor,
-                      x_path: Tensor | None = None) -> DiagGaussian:
-        if x_path is None:
-            x_path = self.enc_z1_x(x)
+    def encode_bottom(self, x_path: Tensor, z2: Tensor) -> DiagGaussian:
+        """q(z1 | x, z2) from the x path `enc_z1_x(x)` and z2."""
         joint = self.enc_z1_joint(ad.concat([x_path, self.enc_z1_z(z2)], axis=1))
         return self.enc_z1_head(joint)
 
@@ -388,7 +387,7 @@ class Hvae(Module):
         for _ in range(mc_samples):
             eps2 = Tensor(rng.standard_normal((b, self.spec.latent2)))
             z2 = sample_reparam(q2, eps2)
-            q1 = self.encode_bottom(x, z2, x_path=x_path)
+            q1 = self.encode_bottom(x_path, z2)
             eps1 = Tensor(rng.standard_normal((b, self.spec.latent1)))
             z1 = sample_reparam(q1, eps1)
             p1 = self.conditional_prior(z2)
@@ -473,67 +472,56 @@ def reconstruct(x, model: Model, rng) -> np.ndarray:
     return model.decode(*rec.latents()).mean_value()
 
 
-def _check_shapes(params: dict[str, Tensor], shapes: dict) -> None:
-    """The rule a snapshot of name -> shape must meet to fill `params`: the
-    same names, and each shape equal to its tensor's; ContractError
-    otherwise."""
-    if set(params) != set(shapes):
-        raise ContractError("tensor names do not match the model")
-    for name, t in params.items():
-        if tuple(t.shape) != tuple(shapes[name]):
-            raise ContractError(f"tensor '{name}' has shape "
-                                f"{tuple(shapes[name])}, expected {t.shape}")
-
-
 def set_parameters(model: Model, state: dict[str, np.ndarray]) -> None:
     """Overwrite all model parameters from a name -> array snapshot."""
     params = model.parameters()
-    _check_shapes(params, {name: a.shape for name, a in state.items()})
+    if set(params) != set(state):
+        raise ContractError("tensor names do not match the model")
+    for name, t in params.items():
+        if np.shape(state[name]) != t.shape:
+            raise ContractError(f"tensor '{name}' has shape "
+                                f"{np.shape(state[name])}, expected {t.shape}")
     for name, t in params.items():
         t.data = np.array(state[name], dtype=np.float64)
 
 
 # -- checkpoint persistence ------------------------------------------------
 
+def _header(model: Model) -> bytes:
+    """The checkpoint's JSON header: the spec and the [name, shape] manifest
+    in parameter order, with sorted keys."""
+    manifest = [[name, list(t.shape)]
+                for name, t in model.parameters().items()]
+    return json.dumps({"spec": asdict(model.spec), "tensors": manifest},
+                      sort_keys=True).encode("utf-8")
+
+
 def save_checkpoint(model: Model, path) -> None:
-    """Write magic, version, JSON spec + tensor manifest, raw f64 payloads."""
-    params = model.parameters()
-    manifest = [[name, list(t.shape)] for name, t in params.items()]
-    header = json.dumps({"spec": asdict(model.spec), "tensors": manifest},
-                        sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", CHECKPOINT_VERSION))
-        fh.write(struct.pack("<I", len(header)))
-        fh.write(header)
-        for _, t in params.items():
-            fh.write(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
-
-
-def _checked_manifest(tensors) -> list:
-    """The header's [name, shape] pairs, each name once, each dim a
-    non-negative integer; ValueError otherwise."""
-    if not isinstance(tensors, list):
-        raise ValueError("tensor manifest is not a list")
-    names = set()
-    for entry in tensors:
-        if not (isinstance(entry, list) and len(entry) == 2
-                and isinstance(entry[0], str) and isinstance(entry[1], list)
-                and all(type(d) is int and d >= 0 for d in entry[1])):
-            raise ValueError(f"manifest entry {entry!r} is not a "
-                             "[name, shape] pair")
-        if entry[0] in names:
-            raise ValueError(f"duplicate tensor '{entry[0]}' in manifest")
-        names.add(entry[0])
-    return tensors
+    """Write magic, version, JSON header, raw f64 payloads to `path`.tmp,
+    then move it onto `path`: an interrupted save leaves `path` as it was."""
+    header = _header(model)
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(CHECKPOINT_MAGIC + struct.pack(
+                "<II", CHECKPOINT_VERSION, len(header)) + header)
+            for t in model.parameters().values():
+                fh.write(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path) -> Model:
     """Rebuild a model from a checkpoint; bitwise inverse of save.
 
-    The header and the payload layout are checked against the file's size
-    before the model is built; each payload is then read straight into its
-    parameter's array, so no second copy of the parameters exists.
+    After the magic, version and length checks only the header's spec is
+    parsed; the model is built from it, and the header must be exactly
+    `_header(model)`, byte for byte (else `FormatError` at offset 12). Each
+    payload is then read straight into its parameter's array, little-endian
+    and finite, so no second copy of the parameters exists.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -551,54 +539,35 @@ def load_checkpoint(path) -> Model:
         header_len = struct.unpack("<I", head[8:12])[0]
         if size < 12 + header_len:
             raise FormatError("truncated checkpoint metadata", offset=12)
+        header = fh.read(header_len)
         try:
-            meta = json.loads(fh.read(header_len).decode("utf-8"))
-            spec = ModelSpec(**meta["spec"])
-            manifest = _checked_manifest(meta["tensors"])
+            spec = ModelSpec(**json.loads(header.decode("utf-8"))["spec"])
         except (ValueError, KeyError, TypeError, ContractError) as exc:
             raise FormatError(f"bad checkpoint metadata: {exc}",
                               offset=12) from exc
-
-        offset = 12 + header_len
-        for name, shape in manifest:
-            nbytes = math.prod(shape) * 8
-            if size < offset + nbytes:
-                raise FormatError(f"truncated payload for tensor '{name}'",
-                                  offset=offset)
-            offset += nbytes
-        if offset != size:
-            raise FormatError("trailing bytes after checkpoint payload",
-                              offset=offset)
 
         placeholder = None
         if spec.prior_kind == "vamp-data":
             placeholder = np.zeros((spec.prior_components, spec.data_dim))
         model = build_model(spec, np.random.default_rng(0),
                             data_rows=placeholder)
-        params = model.parameters()
-        try:
-            _check_shapes(params, dict(manifest))
-        except ContractError as exc:
-            raise FormatError(f"checkpoint tensors do not match the model "
-                              f"architecture: {exc}", offset=12) from exc
+        if header != _header(model):
+            raise FormatError("bad checkpoint metadata: not the canonical "
+                              "header for its spec", offset=12)
         offset = 12 + header_len
-        for name, _ in manifest:
-            data = params[name].data
-            _read_payload(fh, name, data, offset)
+        for name, t in model.parameters().items():
+            data = t.data
+            if fh.readinto(memoryview(data).cast("B")) != data.nbytes:
+                raise FormatError(f"truncated payload for tensor '{name}'",
+                                  offset=offset)
+            if sys.byteorder == "big":
+                data.byteswap(inplace=True)
+            finite = np.isfinite(data)
+            if not finite.all():
+                raise FormatError(f"non-finite value in tensor '{name}'",
+                                  offset=offset + 8 * int(np.argmin(finite)))
             offset += data.nbytes
+        if fh.read(1):
+            raise FormatError("trailing bytes after checkpoint payload",
+                              offset=offset)
     return model
-
-
-def _read_payload(fh, name: str, data: np.ndarray, offset: int) -> None:
-    """Fill the C-contiguous float64 `data` from the little-endian payload
-    at `offset`, where `fh` stands; FormatError if the file ends early or a
-    value is not finite."""
-    if fh.readinto(memoryview(data).cast("B")) != data.nbytes:
-        raise FormatError(f"truncated payload for tensor '{name}'",
-                          offset=offset)
-    if sys.byteorder == "big":
-        data.byteswap(inplace=True)
-    finite = np.isfinite(data)
-    if not finite.all():
-        raise FormatError(f"non-finite value in tensor '{name}'",
-                          offset=offset + 8 * int(np.argmin(finite)))

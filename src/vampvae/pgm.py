@@ -59,9 +59,9 @@ def _tile(row: np.ndarray, image_shape: tuple[int, int]) -> np.ndarray:
 
 
 def image_grid(images: np.ndarray, image_shape: tuple[int, int],
-               cols: int | None = None,
                margin: int = GRID_MARGIN) -> np.ndarray:
-    """Lay out rows of flattened [0, 1] images as one uint8 grid canvas."""
+    """Lay out rows of flattened [0, 1] images as one uint8 grid canvas,
+    ceil(sqrt(n)) tiles wide."""
     images = np.atleast_2d(np.asarray(images, dtype=np.float64))
     n = images.shape[0]
     if n == 0:
@@ -70,8 +70,7 @@ def image_grid(images: np.ndarray, image_shape: tuple[int, int],
     if images.shape[1] > h * w:
         raise ContractError(f"rows of width {images.shape[1]} do not fit "
                             f"{image_shape} tiles")
-    if cols is None:
-        cols = int(math.ceil(math.sqrt(n)))
+    cols = int(math.ceil(math.sqrt(n)))
     rows = int(math.ceil(n / cols))
     canvas = np.zeros((rows * h + (rows + 1) * margin,
                        cols * w + (cols + 1) * margin), dtype=np.uint8)
@@ -83,9 +82,9 @@ def image_grid(images: np.ndarray, image_shape: tuple[int, int],
     return canvas
 
 
-def write_grid(images: np.ndarray, image_shape: tuple[int, int], path,
-               cols: int | None = None) -> None:
-    write_pgm(image_grid(images, image_shape, cols=cols), path)
+def write_grid(images: np.ndarray, image_shape: tuple[int, int],
+               path) -> None:
+    write_pgm(image_grid(images, image_shape), path)
 
 
 def write_side_by_side(left: np.ndarray, right: np.ndarray,

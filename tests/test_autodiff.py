@@ -165,7 +165,7 @@ class TestTapeKeepsOnlyWhatBackwardReads:
         try:
             with Graph():
                 h = x @ w
-                y = (h + b).sigmoid().sum()
+                y = ad.sigmoid(h + b).sum()
                 h_data = weakref.ref(h.data)
                 del h
                 assert h_data() is None
@@ -177,7 +177,7 @@ class TestTapeKeepsOnlyWhatBackwardReads:
     def test_backward_consumes_every_replayed_node(self):
         w = Tensor([0.5, -1.0], requires_grad=True)
         with Graph() as graph:
-            loss = ((w * w).exp() + w).sum()
+            loss = (ad.exp(w * w) + w).sum()
             nodes = list(graph.nodes)
             backward(loss)
             assert nodes and all(n.grad_fn is None for n in nodes)
@@ -220,7 +220,6 @@ OP_CALLS = {
     "neg": lambda f, a, r: f(a),
     "matmul": lambda f, a, r: f(a, ad.reshape(r, (4, 1))),
     "sigmoid": lambda f, a, r: f(a),
-    "tanh": lambda f, a, r: f(a),
     "softplus": lambda f, a, r: f(a),
     "exp": lambda f, a, r: f(a),
     "log": lambda f, a, r: f(a),
@@ -265,7 +264,6 @@ class TestClosureContract:
 
 UNARY_OPS = [
     ("sigmoid", ad.sigmoid, None),
-    ("tanh", ad.tanh, None),
     ("softplus", ad.softplus, None),
     ("exp", ad.exp, None),
     ("square", ad.square, None),
@@ -350,7 +348,7 @@ def _gated_mlp_scalar(params):
     x, w1, b1, g1, c1, w2, b2, g2, c2, w3, b3 = params
     h = (x @ w1 + b1) * ad.sigmoid(x @ g1 + c1)
     h = (h @ w2 + b2) * ad.sigmoid(h @ g2 + c2)
-    return ad.tanh(h @ w3 + b3).sum()
+    return ad.softplus(h @ w3 + b3).sum()
 
 
 class TestMatmulOperandGradients:

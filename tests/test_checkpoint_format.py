@@ -154,6 +154,41 @@ def test_malformed_manifest_is_a_format_error(tmp_path, edit):
     assert err.value.offset == 12
 
 
+def _compact_separators(blob: bytes) -> bytes:
+    meta, payload = split_header(blob)
+    header = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode()
+    return blob[:8] + len(header).to_bytes(4, "little") + header + payload
+
+
+def _tab_for_a_space(blob: bytes) -> bytes:
+    return blob[:12] + blob[12:].replace(b" ", b"\t", 1)
+
+
+def _reordered_manifest(blob: bytes) -> bytes:
+    # the first two tensors swap places in the manifest and in the payload,
+    # so every name, shape and value still reaches its parameter
+    meta, payload = split_header(blob)
+    (a, a_shape), (b, b_shape) = meta["tensors"][:2]
+    na, nb = 8 * int(np.prod(a_shape)), 8 * int(np.prod(b_shape))
+    meta["tensors"][:2] = [[b, b_shape], [a, a_shape]]
+    return join_header(meta, payload[na:na + nb] + payload[:na]
+                       + payload[na + nb:])
+
+
+@pytest.mark.parametrize("edit", [
+    _compact_separators, _tab_for_a_space, _reordered_manifest,
+], ids=["compact-separators", "tab-for-a-space", "reordered-manifest"])
+def test_header_must_be_the_one_save_writes(tmp_path, edit):
+    blob = checkpoint_bytes(pin_model(2, "weighted-vamp"))
+    edited = edit(blob)
+    assert edited != blob
+    path = tmp_path / "edited.ckpt"
+    path.write_bytes(edited)
+    with pytest.raises(FormatError, match="bad checkpoint metadata") as err:
+        load_checkpoint(path)
+    assert err.value.offset == 12
+
+
 # the smallest model, so that most positions fall in the header
 TINY_CHECKPOINT = checkpoint_bytes(build_model(
     ModelSpec(levels=1, data_dim=2, latent1=1, hidden=1, hidden_layers=1,
@@ -183,6 +218,8 @@ def test_single_byte_mutation_loads_or_raises_format_error(position, value):
         path = Path(d) / "m.ckpt"
         path.write_bytes(bytes(blob))
         try:
-            load_checkpoint(path)
+            model = load_checkpoint(path)
         except FormatError:
-            pass
+            return
+    # a file that loads is one save would write
+    assert checkpoint_bytes(model) == bytes(blob)

@@ -7,7 +7,12 @@ import pytest
 
 from vampvae import cli
 from vampvae.datasets import save_raw_matrix
-from vampvae.models import load_checkpoint
+from vampvae.models import (
+    ModelSpec,
+    build_model,
+    load_checkpoint,
+    save_checkpoint,
+)
 from vampvae.pgm import GRID_MARGIN, read_pgm
 from vampvae.training import TrainConfig, prepare_validation, validation_elbo
 
@@ -327,6 +332,29 @@ class TestInspectPrior:
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         assert exc.value.code == 2
+
+    def test_component_out_of_range_writes_nothing(self, trained, tmp_path,
+                                                   capsys):
+        out = tmp_path / "ins"
+        argv = ["inspect-prior", "--checkpoint",
+                str(trained / "checkpoint_best.ckpt"), "--component", "9",
+                "--outdir", str(out)]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "wrote" not in capsys.readouterr().out
+        assert not out.exists()
+
+    def test_sg_prior_writes_nothing(self, tmp_path, capsys):
+        spec = ModelSpec(levels=1, data_dim=16, latent1=3, hidden=8)
+        path = tmp_path / "sg.ckpt"
+        save_checkpoint(build_model(spec, np.random.default_rng(0)), path)
+        out = tmp_path / "out"
+        argv = ["inspect-prior", "--checkpoint", str(path), "--component",
+                "0", "--outdir", str(out)]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().out == ""
+        assert not out.exists()
 
     def test_sg_prior_has_nothing_to_inspect(self, tmp_path, capsys):
         run = train_tiny(tmp_path / "sg_run", prior="sg")

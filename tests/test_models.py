@@ -342,6 +342,44 @@ class TestCheckpoints:
         assert err.value.offset == payload
 
 
+class TestAtomicSave:
+    @pytest.mark.parametrize("error", [OSError, KeyboardInterrupt])
+    def test_failed_write_leaves_the_old_file(self, tmp_path, monkeypatch,
+                                              error):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(tiny_model(1, seed=1), path)
+        before = path.read_bytes()
+        real_open = open
+
+        class FailsAfterHeader:
+            # the head and header go through in one write; the first
+            # payload does not
+            def __init__(self, fh):
+                self._fh = fh
+                self._writes = 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self._fh.close()
+
+            def write(self, data):
+                self._writes += 1
+                if self._writes > 1:
+                    raise error("write failed")
+                return self._fh.write(data)
+
+        monkeypatch.setattr(models, "open",
+                            lambda *a, **kw: FailsAfterHeader(
+                                real_open(*a, **kw)),
+                            raising=False)
+        with pytest.raises(error):
+            save_checkpoint(tiny_model(1, seed=2), path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
+
+
 class TestCheckpointMemory:
     def test_paper_scale_load_holds_one_copy_of_the_parameters(self,
                                                                 tmp_path):
