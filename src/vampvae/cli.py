@@ -2,8 +2,9 @@
 inspect-prior.
 
 All artifacts land under --outdir and every command is deterministic given
---seed. Exit codes: 0 success, 1 I/O or state errors, 2 usage errors,
-130 interrupted (Ctrl-C), reported as one `interrupted` line on stderr.
+--seed. Exit codes: 0 success, 1 I/O or state errors and running out of
+memory, 2 usage errors, 130 interrupted (Ctrl-C), reported as one
+`interrupted` line on stderr.
 """
 
 from __future__ import annotations
@@ -397,6 +398,10 @@ def main(argv=None) -> int:
         parser.error(f"unknown command {args.command}")
     except (VampVaeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return RUNTIME_ERROR
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
         return RUNTIME_ERROR
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)

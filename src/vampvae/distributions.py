@@ -31,7 +31,6 @@ LOG_VAR_MAX = 14.0
 
 # 8-bit intensities sit on the {0, 1/255, ..., 1} grid; each carries a bin of
 # width 1/256 whose probability is floored before the log.
-INTENSITY_GRID_STEP = 1.0 / 255.0
 INTENSITY_BIN_WIDTH = 1.0 / 256.0
 PROB_FLOOR = 1e-7
 

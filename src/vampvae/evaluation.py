@@ -29,9 +29,9 @@ def is_log_likelihood(x: np.ndarray, model, s: int, rng,
     """Importance-sampled log p(x) for one example with S posterior samples.
 
     Samples are drawn in chunks with a running log-sum-exp, so memory stays
-    proportional to the chunk size rather than S. A model with `encode_x`
-    encodes the repeated row once per distinct chunk length (the full chunk
-    and the tail) and reuses that encoding for every chunk of its length:
+    proportional to the chunk size rather than S. The repeated row is
+    encoded (`model.encode_x`) once per distinct chunk length (the full chunk
+    and the tail) and that encoding is reused for every chunk of its length:
     the same input bytes and shape give the same bits as encoding per chunk.
     """
     if s < 1:
@@ -39,14 +39,13 @@ def is_log_likelihood(x: np.ndarray, model, s: int, rng,
     if chunk_size < 1:
         raise ContractError("chunk_size must be at least 1")
     x = np.asarray(x, dtype=np.float64).reshape(1, -1)
-    encode = getattr(model, "encode_x", lambda batch: batch)
     encoded = {}
     partials = []
     remaining = s
     while remaining > 0:
         c = min(chunk_size, remaining)
         if c not in encoded:
-            encoded[c] = encode(np.repeat(x, c, axis=0))
+            encoded[c] = model.encode_x(np.repeat(x, c, axis=0))
         weights = model.log_importance_weight(encoded[c], rng)
         partials.append(_lse(weights))
         remaining -= c
@@ -236,16 +235,14 @@ class EvalReport:
 
 
 def evaluate_model(model, test_data: np.ndarray, s: int, seed: int,
-                   bins: int = 50, workers: int = 1,
-                   threshold: float = 0.01,
-                   chunk_size: int = DEFAULT_IS_CHUNK) -> EvalReport:
+                   bins: int = 50, workers: int = 1) -> EvalReport:
     """Full evaluation pass: IS log-likelihood, diagnostics, histogram."""
     lls = per_example_log_likelihood(model, test_data, s, seed,
-                                     workers=workers, chunk_size=chunk_size)
+                                     workers=workers)
     mean_ll = float(lls.mean())
     bpd = None
     if model.spec.likelihood == "logistic":
         bpd = bits_per_dim(mean_ll, model.spec.data_dim)
-    act = active_units(test_data, model, threshold=threshold)
+    act = active_units(test_data, model)
     hist = ll_histogram(lls, bins)
     return EvalReport(mean_ll, lls, bpd, act.counts, hist, s, seed)

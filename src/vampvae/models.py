@@ -18,6 +18,7 @@ import os
 import struct
 import sys
 from dataclasses import asdict, dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -152,70 +153,37 @@ class LikelihoodHead(Module):
         return DiscretizedLogisticParams(mean, log_scale)
 
 
-class _Objective:
-    """ELBO terms shared by both records: `log_p` is the prior side and
-    `log_q` the posterior side of the regularizer."""
+@dataclass
+class Record:
+    """Per-row log-terms of the objective, averaged over samples: log p(x | z)
+    and, per latent level with the top level first, log p(z) and log q(z | .),
+    with the posteriors and, in `decode`'s argument order, the latents of
+    the last sample."""
+
+    log_px: Tensor
+    log_pz: tuple[Tensor, ...]
+    log_qz: tuple[Tensor, ...]
+    posteriors: tuple[DiagGaussian, ...]
+    latents: tuple[Tensor, ...]
+
+    def log_p(self) -> Tensor:
+        """The prior side of the regularizer."""
+        return reduce(ad.add, self.log_pz)
+
+    def log_q(self) -> Tensor:
+        """The posterior side of the regularizer."""
+        return reduce(ad.add, self.log_qz)
+
+    def entropy(self) -> Tensor:
+        """Analytic entropy of each level's posterior, summed; a lower level
+        is conditioned on the last sample of the level above."""
+        return reduce(ad.add, map(normal_entropy, self.posteriors))
 
     def regularizer(self) -> Tensor:
         return ad.sub(self.log_p(), self.log_q())
 
     def elbo(self) -> Tensor:
         return ad.add(self.log_px, self.regularizer())
-
-
-@dataclass
-class VaeRecord(_Objective):
-    """Per-row log-terms of the one-level objective, averaged over samples,
-    with the posterior and the last sample."""
-
-    log_px: Tensor
-    log_pz: Tensor
-    log_qz: Tensor
-    z: Tensor
-    q: DiagGaussian
-
-    def log_p(self) -> Tensor:
-        return self.log_pz
-
-    def log_q(self) -> Tensor:
-        return self.log_qz
-
-    def entropy(self) -> Tensor:
-        """Analytic entropy of q(z | x)."""
-        return normal_entropy(self.q)
-
-    def latents(self) -> tuple[Tensor]:
-        return (self.z,)
-
-
-@dataclass
-class HvaeRecord(_Objective):
-    """Per-row log-terms of the two-level objective, averaged over samples,
-    with the posteriors and latents of the last sample."""
-
-    log_px: Tensor
-    log_pz2: Tensor
-    log_pz1: Tensor
-    log_qz2: Tensor
-    log_qz1: Tensor
-    z1: Tensor
-    z2: Tensor
-    q2: DiagGaussian
-    q1: DiagGaussian
-
-    def log_p(self) -> Tensor:
-        return ad.add(self.log_pz2, self.log_pz1)
-
-    def log_q(self) -> Tensor:
-        return ad.add(self.log_qz2, self.log_qz1)
-
-    def entropy(self) -> Tensor:
-        """Analytic entropy of q(z2 | x) plus that of q(z1 | x, z2) at the
-        last z2."""
-        return ad.add(normal_entropy(self.q2), normal_entropy(self.q1))
-
-    def latents(self) -> tuple[Tensor, Tensor]:
-        return (self.z1, self.z2)
 
 
 @dataclass
@@ -229,21 +197,13 @@ class Generation:
 
 
 @dataclass(frozen=True)
-class VaeEncoding:
-    """The part of a one-level forward pass that depends only on x."""
+class Encoding:
+    """The part of a forward pass that depends only on x: the top-level
+    posterior and, with two levels, the x path of q(z1 | x, z2)."""
 
     x: Tensor
     q: DiagGaussian
-
-
-@dataclass(frozen=True)
-class HvaeEncoding:
-    """The part of a two-level forward pass that depends only on x: q(z2 | x)
-    and the x path of q(z1 | x, z2)."""
-
-    x: Tensor
-    q2: DiagGaussian
-    x_path: Tensor
+    x_path: Tensor | None = None
 
 
 def _checked_batch(x, spec: ModelSpec) -> Tensor:
@@ -258,19 +218,26 @@ def _checked_batch(x, spec: ModelSpec) -> Tensor:
     return t
 
 
-def _encoded(model, x, mc_samples: int, kind):
-    """forward's input as an encoding: an encoding of `kind` as given, any
-    other batch through `model.encode_x`."""
+def _encoded(model, x, mc_samples: int) -> Encoding:
+    """forward's input as an encoding: an `Encoding` as given, any other
+    batch through `model.encode_x`."""
     if mc_samples < 1:
         raise ContractError("mc_samples must be at least 1")
-    return x if isinstance(x, kind) else model.encode_x(x)
+    return x if isinstance(x, Encoding) else model.encode_x(x)
 
 
-def _average(terms: list[Tensor]) -> Tensor:
-    total = terms[0]
-    for t in terms[1:]:
-        total = ad.add(total, t)
+def _average(terms) -> Tensor:
+    total = reduce(ad.add, terms)
     return total * (1.0 / len(terms)) if len(terms) > 1 else total
+
+
+def _record(samples, posteriors, latents) -> Record:
+    """Average each term of the per-sample (log p(x | z), log p(z) per level,
+    log q(z | .) per level) tuples over the samples, in that order."""
+    log_px, *logs = [_average(term) for term in zip(*samples)]
+    levels = len(posteriors)
+    return Record(log_px, tuple(logs[:levels]), tuple(logs[levels:]),
+                  posteriors, latents)
 
 
 class Vae(Module):
@@ -298,25 +265,22 @@ class Vae(Module):
     def decode(self, z: Tensor):
         return self.decoder_head(self.decoder(z))
 
-    def encode_x(self, x) -> VaeEncoding:
+    def encode_x(self, x) -> Encoding:
         x = _checked_batch(x, self.spec)
-        return VaeEncoding(x, self.encode(x))
+        return Encoding(x, self.encode(x))
 
-    def forward(self, x, rng, mc_samples: int = 1) -> VaeRecord:
+    def forward(self, x, rng, mc_samples: int = 1) -> Record:
         """The objective's terms for a batch or its `encode_x` encoding; the
         encoding can be reused, as the samples are drawn here."""
-        enc = _encoded(self, x, mc_samples, VaeEncoding)
+        enc = _encoded(self, x, mc_samples)
         x, q = enc.x, enc.q
-        log_px, log_pz, log_qz = [], [], []
-        z = None
+        samples = []
         for _ in range(mc_samples):
             eps = Tensor(rng.standard_normal((x.shape[0], self.spec.latent1)))
             z = sample_reparam(q, eps)
-            log_px.append(self.decode(z).log_prob(x))
-            log_pz.append(self.prior.log_prob(z))
-            log_qz.append(log_normal_diag(z, q))
-        return VaeRecord(_average(log_px), _average(log_pz), _average(log_qz),
-                         z, q)
+            samples.append((self.decode(z).log_prob(x), self.prior.log_prob(z),
+                            log_normal_diag(z, q)))
+        return _record(samples, (q,), (z,))
 
     def log_importance_weight(self, x, rng) -> np.ndarray:
         rec = self.forward(x, rng, mc_samples=1)
@@ -371,34 +335,28 @@ class Hvae(Module):
                                          axis=1))
         return self.dec_head(joint)
 
-    def encode_x(self, x) -> HvaeEncoding:
+    def encode_x(self, x) -> Encoding:
         x = _checked_batch(x, self.spec)
-        return HvaeEncoding(x, self.encode_top(x), self.enc_z1_x(x))
+        return Encoding(x, self.encode_top(x), self.enc_z1_x(x))
 
-    def forward(self, x, rng, mc_samples: int = 1) -> HvaeRecord:
+    def forward(self, x, rng, mc_samples: int = 1) -> Record:
         """The objective's terms for a batch or its `encode_x` encoding; the
         encoding can be reused, as the samples are drawn here."""
-        enc = _encoded(self, x, mc_samples, HvaeEncoding)
-        x, q2, x_path = enc.x, enc.q2, enc.x_path
+        enc = _encoded(self, x, mc_samples)
+        x, q2 = enc.x, enc.q
         b = x.shape[0]
-        logs: dict[str, list[Tensor]] = {k: [] for k in
-                                         ("px", "pz2", "pz1", "qz2", "qz1")}
-        z1 = z2 = q1 = None
+        samples = []
         for _ in range(mc_samples):
             eps2 = Tensor(rng.standard_normal((b, self.spec.latent2)))
             z2 = sample_reparam(q2, eps2)
-            q1 = self.encode_bottom(x_path, z2)
+            q1 = self.encode_bottom(enc.x_path, z2)
             eps1 = Tensor(rng.standard_normal((b, self.spec.latent1)))
             z1 = sample_reparam(q1, eps1)
             p1 = self.conditional_prior(z2)
-            logs["px"].append(self.decode(z1, z2).log_prob(x))
-            logs["pz2"].append(self.prior.log_prob(z2))
-            logs["pz1"].append(log_normal_diag(z1, p1))
-            logs["qz2"].append(log_normal_diag(z2, q2))
-            logs["qz1"].append(log_normal_diag(z1, q1))
-        return HvaeRecord(_average(logs["px"]), _average(logs["pz2"]),
-                          _average(logs["pz1"]), _average(logs["qz2"]),
-                          _average(logs["qz1"]), z1, z2, q2, q1)
+            samples.append((self.decode(z1, z2).log_prob(x),
+                            self.prior.log_prob(z2), log_normal_diag(z1, p1),
+                            log_normal_diag(z2, q2), log_normal_diag(z1, q1)))
+        return _record(samples, (q2, q1), (z1, z2))
 
     def log_importance_weight(self, x, rng) -> np.ndarray:
         rec = self.forward(x, rng, mc_samples=1)
@@ -469,7 +427,7 @@ def generate(model: Model, n: int, rng,
 def reconstruct(x, model: Model, rng) -> np.ndarray:
     """Encode with one posterior sample and decode to the likelihood mean."""
     rec = model.forward(x, rng, mc_samples=1)
-    return model.decode(*rec.latents()).mean_value()
+    return model.decode(*rec.latents).mean_value()
 
 
 def set_parameters(model: Model, state: dict[str, np.ndarray]) -> None:

@@ -51,11 +51,11 @@ class TrainConfig:
 class AdamState:
     """First/second moment accumulators plus the shared step counter."""
 
-    def __init__(self, params: dict[str, Tensor], beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
+
+    def __init__(self, params: dict[str, Tensor]):
         self.step = 0
         self.m = {k: np.zeros(p.shape) for k, p in params.items()
                   if p.requires_grad}

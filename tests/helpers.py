@@ -50,6 +50,9 @@ class LinearGaussianModel:
                          np.linalg.inv(self.post_cov), diff)
         return -0.5 * (m * LOG_2PI + self.post_logdet + quad)
 
+    def encode_x(self, x: np.ndarray) -> np.ndarray:
+        return x
+
     def log_importance_weight(self, x: np.ndarray, rng) -> np.ndarray:
         """One posterior draw per row; weights are constant by construction."""
         x = np.atleast_2d(np.asarray(x, dtype=float))

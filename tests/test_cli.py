@@ -57,6 +57,25 @@ class TestInterrupt:
         assert capsys.readouterr().err == "interrupted\n"
 
 
+class TestOutOfMemory:
+    @pytest.mark.parametrize("message", [
+        "Unable to allocate 1.43 TiB for an array with shape "
+        "(200000000, 784) and data type float64", ""])
+    def test_memory_error_is_one_error_line(self, tmp_path, monkeypatch,
+                                            capsys, message):
+        def exhausted(args):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "cmd_generate", exhausted)
+        argv = ["generate", "--checkpoint", str(tmp_path / "x.ckpt"),
+                "--n", "200000000", "--outdir", str(tmp_path / "out")]
+        assert cli.main(argv) == cli.RUNTIME_ERROR == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory")
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert message in err
+
+
 class TestHelp:
     def test_top_level_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:

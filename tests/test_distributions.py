@@ -324,6 +324,20 @@ class TestLogDiscretizedLogistic:
             log_discretized_logistic(
                 Tensor([0.5]), Tensor([0.5]), Tensor([0.0]))
 
+    @pytest.mark.parametrize("x,on_grid", [
+        (3 / 255 + 0.9e-9, True), (3 / 255 - 0.9e-9, True), (-1e-9, True),
+        (3 / 255 + 1.1e-9, False), (3 / 255 - 1.1e-9, False),
+        (-1.1e-9, False), (256 / 255, False), (-1 / 255, False)])
+    def test_grid_tolerance_boundaries(self, x, on_grid):
+        # within 1e-9 of a grid point in [0, 1] is on the grid, -1e-9 itself
+        # included; 256/255 and -1/255 are grid multiples outside [0, 1]
+        args = (Tensor([x]), Tensor([0.5]), Tensor([0.0]))
+        if on_grid:
+            assert math.isfinite(log_discretized_logistic(*args).item())
+        else:
+            with pytest.raises(DomainError):
+                log_discretized_logistic(*args)
+
     def test_nonpositive(self):
         rng = np.random.default_rng(10)
         x = rng.integers(0, 256, size=12) / 255.0
@@ -337,6 +351,14 @@ class TestLogDiscretizedLogistic:
             Tensor([1.0]), Tensor([0.0]), Tensor([-7.0]))
         assert math.isfinite(out.item())
         assert out.item() >= math.log(dist.PROB_FLOOR) - 1e-9
+
+    def test_bin_below_the_floor_is_exactly_the_floor(self):
+        # the bin [1, 1 + 1/256) starts e^7 (about 1,100) scales above a mean
+        # of 0: both CDFs round to 1, and their difference 0 is floored
+        out = log_discretized_logistic(
+            Tensor([1.0]), Tensor([0.0]), Tensor([-7.0]))
+        assert out.item() == math.log(1e-7)
+        assert dist.PROB_FLOOR == 1e-7
 
 
 class TestPairwiseDensity:

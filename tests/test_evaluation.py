@@ -52,6 +52,9 @@ class _RecordedWeights:
         self.weights = np.asarray(weights, dtype=float)
         self.cursor = 0
 
+    def encode_x(self, x):
+        return x
+
     def log_importance_weight(self, x, rng):
         n = x.shape[0]
         out = self.weights[self.cursor:self.cursor + n]
@@ -113,6 +116,13 @@ class TestIsLogLikelihood:
                                 np.random.default_rng(0), chunk_size=100)
         want = scipy_lse(weights) - math.log(1234)
         assert got == pytest.approx(want, abs=1e-12)
+
+    def test_chunks_of_one_sample(self):
+        weights = np.random.default_rng(25).normal(-30, 5, size=37)
+        got = is_log_likelihood(np.zeros(3), _RecordedWeights(weights), 37,
+                                np.random.default_rng(0), chunk_size=1)
+        assert got == pytest.approx(scipy_lse(weights) - math.log(37),
+                                    abs=1e-12)
 
     def test_jensen_inequality_per_call(self):
         rng = np.random.default_rng(24)

@@ -65,12 +65,14 @@ class TestForward:
     def test_vae_record_fields(self):
         model = tiny_model(1)
         rec = model.forward(np.zeros((3, 4)), np.random.default_rng(2))
-        for t in (rec.log_px, rec.log_pz, rec.log_qz):
+        (log_pz,), (log_qz,) = rec.log_pz, rec.log_qz
+        for t in (rec.log_px, log_pz, log_qz):
             assert t.shape == (3,)
-        assert rec.z.shape == (3, 2)
+        (z,) = rec.latents
+        assert z.shape == (3, 2)
         np.testing.assert_allclose(
             rec.elbo().data,
-            rec.log_px.data + rec.log_pz.data - rec.log_qz.data, rtol=1e-14)
+            rec.log_px.data + log_pz.data - log_qz.data, rtol=1e-14)
 
     def test_dimension_mismatch_rejected(self):
         model = tiny_model(1, d=4)
@@ -105,12 +107,13 @@ class TestForward:
         x = np.random.default_rng(7).integers(0, 2, (3, 4)).astype(float)
         rec_a = sg.forward(x, np.random.default_rng(42))
         rec_b = vamp.forward(x, np.random.default_rng(42))
-        for field in ("log_px", "log_pz1", "log_qz1", "log_qz2"):
-            np.testing.assert_array_equal(getattr(rec_a, field).data,
-                                          getattr(rec_b, field).data)
-        np.testing.assert_array_equal(rec_a.z1.data, rec_b.z1.data)
-        np.testing.assert_array_equal(rec_a.z2.data, rec_b.z2.data)
-        assert not np.array_equal(rec_a.log_pz2.data, rec_b.log_pz2.data)
+        # top level first: log_pz = (log p(z2), log p(z1 | z2))
+        for a, b in [(rec_a.log_px, rec_b.log_px),
+                     (rec_a.log_pz[1], rec_b.log_pz[1]),
+                     *zip(rec_a.log_qz, rec_b.log_qz),
+                     *zip(rec_a.latents, rec_b.latents)]:
+            np.testing.assert_array_equal(a.data, b.data)
+        assert not np.array_equal(rec_a.log_pz[0].data, rec_b.log_pz[0].data)
 
 
 class TestGradientsThroughElbo:

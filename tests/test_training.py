@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from helpers import peak_mb_above_held, zero_parameters
-from vampvae import training
+from vampvae import cli, training
 from vampvae.autodiff import Graph, Tensor, backward
 from vampvae.datasets import synth_clusters
 from vampvae.errors import ContractError, DomainError
@@ -104,6 +104,23 @@ class TestStep:
         step(params, opt, lr=1e-2)
         np.testing.assert_array_equal(params["w"].data, [1.0, 2.0])
         np.testing.assert_array_equal(opt.m["w"], 0.0)
+
+    def test_block_at_the_norm_floor_is_updated_and_below_it_skipped(self):
+        # a one-element block's norm is its gradient's magnitude, exactly
+        floor = 1e-12
+        assert training.GRAD_NORM_FLOOR == floor
+        at = {"w": Tensor(np.array([1.0]), requires_grad=True)}
+        below = {"w": Tensor(np.array([1.0]), requires_grad=True)}
+        at["w"].grad = np.array([floor])
+        below["w"].grad = np.array([np.nextafter(floor, 0.0)])
+        opt_at, opt_below = AdamState(at), AdamState(below)
+        step(at, opt_at, lr=1e-2)
+        step(below, opt_below, lr=1e-2)
+        assert at["w"].data[0] < 1.0
+        assert opt_at.m["w"][0] > 0.0 and opt_at.v["w"][0] > 0.0
+        np.testing.assert_array_equal(below["w"].data, [1.0])
+        np.testing.assert_array_equal(opt_below.m["w"], [0.0])
+        np.testing.assert_array_equal(opt_below.v["w"], [0.0])
 
     def test_missing_gradient_rejected(self):
         params = self._params([1.0])
@@ -295,6 +312,61 @@ class TestFit:
     def test_learning_rate_must_be_finite_and_positive(self, lr):
         with pytest.raises(ContractError):
             _config(learning_rate=lr)
+
+    def test_defaults_are_the_paper_recipe_and_the_cli_defaults(self):
+        config = TrainConfig(max_epochs=1)
+        args = cli.build_parser().parse_args(["train", "--outdir", "out"])
+        assert config.learning_rate == args.lr == 5e-4
+        assert config.batch_size == args.batch_size == 100
+        assert config.warmup_epochs == args.warmup_epochs == 100
+        assert config.early_stop_patience == args.patience == 50
+
+    def test_patience_of_one_epoch(self, monkeypatch):
+        values = iter([-1.0, -2.0, -3.0])
+        monkeypatch.setattr(training, "validation_elbo",
+                            lambda *a, **k: next(values))
+        data = synth_clusters(64, 16, 2, seed=0)
+        model = tiny_model(1, d=16, m=2, hidden=4)
+        log = fit(data.train, data.val, model,
+                  _config(max_epochs=3, early_stop_patience=1))
+        assert (log.stop_reason, len(log.epochs)) == ("early_stop", 2)
+
+    def test_batch_of_one_row(self, monkeypatch):
+        data = synth_clusters(40, 16, 2, seed=7)
+        updates = []
+        real_step = training.step
+
+        def counting(*args, **kwargs):
+            updates.append(1)
+            return real_step(*args, **kwargs)
+
+        monkeypatch.setattr(training, "step", counting)
+        model = tiny_model(1, d=16, m=2, hidden=4)
+        log = fit(data.train, data.val, model,
+                  _config(max_epochs=1, batch_size=1))
+        assert len(updates) == data.train.shape[0]
+        assert math.isfinite(log.epochs[0].train_loss)
+
+    def test_a_tied_validation_elbo_keeps_the_earlier_epoch(self,
+                                                            monkeypatch):
+        snapshots = []
+
+        def tied(model, *args, **kwargs):
+            snapshots.append({k: p.data.copy()
+                              for k, p in model.parameters().items()})
+            return -5.0
+
+        monkeypatch.setattr(training, "validation_elbo", tied)
+        data = synth_clusters(64, 16, 2, seed=8)
+        model = tiny_model(1, d=16, m=2, hidden=4)
+        log = fit(data.train, data.val, model,
+                  _config(max_epochs=2, early_stop_patience=5))
+        assert log.best_epoch == 0
+        first, last = snapshots
+        assert not np.array_equal(first["encoder_head.w"],
+                                  last["encoder_head.w"])
+        for k, value in first.items():
+            np.testing.assert_array_equal(log.best_state[k], value)
 
     def test_empty_split_rejected(self):
         model = tiny_model(1, d=16)
