@@ -8,15 +8,32 @@ tensors, so it must run inside the block.
 The tape keeps only what the gradient rules read. A node refers to its
 output weakly and to its inputs as parent nodes (or as the leaf tensors
 that receive gradients), and each `grad_fn` captures arrays and shapes,
-never tensors. An intermediate array no rule reads, such as ``x @ w``
-before its bias is added, is therefore freed as soon as the forward code
-drops its tensor. `backward` consumes the tape: it drops each node's
-`grad_fn`, and with it the arrays the rule captured, as it replays the
-node, so a second `backward` on the same tape is a `ContractError`.
+never tensors. An intermediate array no rule reads, such as the
+``std * eps`` of a reparameterized sample before its mean is added, is
+therefore freed as soon as the forward code drops its tensor. `backward`
+consumes the tape: it drops each node's `grad_fn`, and with it the arrays
+the rule captured, as it replays the node, so a second `backward` on the
+same tape is a `ContractError`.
 Leaving the block frees the rest: every recorded output drops its node,
 which breaks the node -> graph -> nodes reference cycles, so reference
 counting releases the tape at once instead of the cyclic collector some
 time later.
+
+A gradient rule returns one gradient (or None) per input, or yields them
+one at a time in input order; `backward` adds each into its parent as it
+arrives and drops it, so a rule that yields holds only the gradients it has
+still to deliver. Besides the elementwise, reduction and shape ops, the
+module records two fused layer nodes, each one node where the op chain it
+replaces recorded several, with that chain's bytes (`distributions` fuses
+its densities the same way):
+
+- `affine` (tag ``affine``): ``x @ w + b``;
+- `gated_dense` (tag ``gated_dense``): ``(x @ w1 + b1) * sigmoid(x @ w2 +
+  b2)``.
+
+A fused node lists an input once per use in the chain, in the order the
+chain's reversed tape delivered gradients to it, so a parent shared with
+other nodes sums its gradients in the chain's order, and with its bits.
 
 Broadcasting is deliberately narrow: two operands are compatible when their
 shapes are equal or one shape is a trailing suffix of the other (the smaller
@@ -28,7 +45,7 @@ from __future__ import annotations
 
 import threading
 import weakref
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -230,16 +247,17 @@ def _as_tensor(x) -> Tensor:
 
 
 def apply_op(tag: str, out_data: Array, inputs: Sequence[Tensor],
-             grad_fn: Callable[[Array], tuple]) -> Tensor:
+             grad_fn: Callable[[Array], Iterable]) -> Tensor:
     """Finish a forward op: check finiteness, record on the active graph.
 
-    This is the extension point for fused operations, such as
-    `distributions.log_normal_diag_pairwise` and
-    `distributions.log_bernoulli`: `grad_fn` receives the output gradient
-    and returns one gradient (or None) per input. It must capture arrays
-    and shapes only, never a `Tensor`, and only the arrays it reads: the
-    tape holds nothing else of the forward pass, and `backward` consumes
-    it, dropping `grad_fn` once it has run.
+    This is the extension point for fused operations, such as `affine`,
+    `gated_dense` and the densities of `distributions`: `grad_fn` receives
+    the output gradient and returns one gradient (or None) per input, or
+    is a generator that yields them in input order, so that each can be
+    freed once `backward` has added it. It must capture arrays and shapes
+    only, never a `Tensor`, and only the arrays it reads: the tape holds
+    nothing else of the forward pass, and `backward` consumes it, dropping
+    `grad_fn` once it has run.
     """
     _ensure_finite(tag, out_data)
     out = Tensor.__new__(Tensor)
@@ -337,14 +355,18 @@ def neg(a) -> Tensor:
     return apply_op("neg", -a.data, (a,), lambda g: (-g,))
 
 
-def matmul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+def _matmul_check(tag: str, a: Tensor, b: Tensor) -> None:
     if a.ndim != 2 or b.ndim != 2:
-        raise DimensionError(f"'matmul': operands must be 2-D, got "
+        raise DimensionError(f"'{tag}': operands must be 2-D, got "
                              f"{a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
-        raise DimensionError(f"'matmul': inner dimensions differ, "
+        raise DimensionError(f"'{tag}': inner dimensions differ, "
                              f"{a.shape} @ {b.shape}")
+
+
+def matmul(a, b) -> Tensor:
+    a, b = _as_tensor(a), _as_tensor(b)
+    _matmul_check("matmul", a, b)
     out = a.data @ b.data
     a_data, b_data = a.data, b.data
     a_grad, b_grad = a.requires_grad, b.requires_grad
@@ -438,6 +460,79 @@ def clip(a, lo=None, hi=None) -> Tensor:
         return (g * mask,)
 
     return apply_op("clip", out, (a,), grad_fn)
+
+
+# -- fused dense layers ---------------------------------------------------
+#
+# Each runs the ufuncs of the op chain it replaces, in that chain's order,
+# in place where the chain made a temporary that no gradient reads, and
+# lists its inputs as the chain's reversed tape reached them.
+
+def _affine_values(tag: str, x: Tensor, w: Tensor, b: Tensor) -> Array:
+    """x @ w + b for a (B, N) product and an (N,) bias, in the product."""
+    _matmul_check(tag, x, w)
+    if b.shape != (w.shape[1],):
+        raise DimensionError(f"'{tag}': bias {b.shape} does not match "
+                             f"{w.shape[1]} outputs")
+    out = x.data @ w.data
+    np.add(out, b.data, out=out)
+    return out
+
+
+def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b as one node; inputs (b, x, w), as the chain's add and
+    matmul reached them."""
+    out = _affine_values("affine", x, w, b)
+    x_data, w_data = x.data, w.data
+    x_grad, w_grad, b_grad = x.requires_grad, w.requires_grad, b.requires_grad
+
+    def grad_fn(g):
+        yield g.sum(axis=0) if b_grad else None
+        yield g @ w_data.T if x_grad else None
+        yield x_data.T @ g if w_grad else None
+
+    return apply_op("affine", out, (b, x, w), grad_fn)
+
+
+def gated_dense(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor,
+                b2: Tensor) -> Tensor:
+    """(x @ w1 + b1) * sigmoid(x @ w2 + b2) as one node.
+
+    Both pre-activations pass the finiteness screen, so an overflow the
+    sigmoid would hide still raises `NumericError`. Inputs (b2, x, w2, b1,
+    x, w1): the chain's tape replays the gate before the linear half, so x
+    receives the gate's gradient first.
+    """
+    h = _affine_values("gated_dense", x, w1, b1)
+    s = _affine_values("gated_dense", x, w2, b2)
+    _ensure_finite("gated_dense", h)
+    _ensure_finite("gated_dense", s)
+    # the sigmoid 1 / (1 + exp(-s)), step by step in place
+    np.negative(s, out=s)
+    with np.errstate(over="ignore"):
+        np.exp(s, out=s)
+    np.add(1.0, s, out=s)
+    np.divide(1.0, s, out=s)
+    x_data, w1_data, w2_data = x.data, w1.data, w2.data
+    x_grad = x.requires_grad
+    w1_grad, b1_grad = w1.requires_grad, b1.requires_grad
+    w2_grad, b2_grad = w2.requires_grad, b2.requires_grad
+
+    def grad_fn(g):
+        g_h = g * s
+        g_s = g * h
+        g_s *= s
+        g_s *= 1.0 - s
+        yield g_s.sum(axis=0) if b2_grad else None
+        yield g_s @ w2_data.T if x_grad else None
+        yield x_data.T @ g_s if w2_grad else None
+        del g_s  # freed before the linear half's products
+        yield g_h.sum(axis=0) if b1_grad else None
+        yield g_h @ w1_data.T if x_grad else None
+        yield x_data.T @ g_h if w1_grad else None
+
+    return apply_op("gated_dense", np.multiply(h, s), (b2, x, w2, b1, x, w1),
+                    grad_fn)
 
 
 # -- reductions ----------------------------------------------------------
@@ -588,18 +683,26 @@ def backward(root: Tensor) -> None:
             raise ContractError("backward already consumed this part of the "
                                 "tape; record a new graph")
         grads = node.grad_fn(gout)
-        node.grad_fn = None
+        node.grad_fn = gout = None
         for parent, gin in zip(node.parents, grads):
-            if gin is None or parent is None:
-                continue
-            gin = np.asarray(gin, dtype=np.float64)
-            if isinstance(parent, Node):
-                seen = pending.get(parent)
-                pending[parent] = gin if seen is None else seen + gin
-            else:
-                if parent.grad is None:
-                    parent.grad = np.zeros_like(parent.data)
-                parent.grad += gin
+            if gin is not None and parent is not None:
+                _add_grad(pending, parent, np.asarray(gin, dtype=np.float64))
+            # dropped before a yielding rule computes the next gradient
+            gin = None
+        grads = None
+
+
+def _add_grad(pending: dict[Node, Array], parent, gin: Array) -> None:
+    """Add one input gradient into a node's pending gradient or a leaf's
+    `.grad`; a leaf's first gradient is written once, as 0.0 + gin, so a
+    -0.0 arrives as +0.0 as it would on zeros."""
+    if isinstance(parent, Node):
+        seen = pending.get(parent)
+        pending[parent] = gin if seen is None else seen + gin
+    elif parent.grad is None:
+        parent.grad = np.add(0.0, gin)
+    else:
+        parent.grad += gin
 
 
 def grad_check(f: Callable[[list[Tensor]], Tensor], params: list[Tensor],

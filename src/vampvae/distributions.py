@@ -5,11 +5,13 @@ All functions treat the last axis as the event dimension and reduce over it,
 so a (B, M) input yields a (B,) tensor of per-row log-densities and an (M,)
 input yields a scalar.
 
-Two densities are fused graph nodes that work through their rows in blocks
-of a small reused buffer: `log_normal_diag_pairwise` (tag
+Three densities are fused graph nodes: `log_normal_diag` (tag
+``normal_logpdf``), and two that work through their rows in blocks of a
+small reused buffer, `log_normal_diag_pairwise` (tag
 ``normal_logpdf_pairwise``) and `log_bernoulli` (tag ``log_bernoulli``).
 Each follows the operation order of the unfused op chain it replaces, so
-its bytes are that chain's, without the chain's full-size temporaries.
+its bytes are that chain's, without the chain's nodes and full-size
+temporaries.
 """
 
 from __future__ import annotations
@@ -68,12 +70,53 @@ def _check_event_dim(name: str, z, p: DiagGaussian) -> None:
 
 
 def log_normal_diag(z: Tensor, p: DiagGaussian) -> Tensor:
-    """log N(z | p.mean, diag(exp(p.log_var))), summed over the event axis."""
+    """log N(z | p.mean, diag(exp(p.log_var))), summed over the event axis.
+
+    One graph node that runs the op chain
+    ``-0.5 * sum(log_var + (z - mean)^2 * exp(-log_var) + log 2 pi)`` in
+    place, in that chain's order. It keeps z - mean and the precision, and
+    its backward recomputes the square. Inputs (log_var, log_var, z, mean):
+    the chain's tape sent log_var the gradient of the add before that of
+    exp(-log_var). z and the mean broadcast as in `autodiff`.
+    """
     _check_event_dim("log_normal_diag", z, p)
-    diff = ad.sub(z, p.mean)
-    precision = ad.exp(ad.neg(p.log_var))
-    terms = ad.add(p.log_var, ad.mul(diff.square(), precision)) + LOG_2PI
-    return (-0.5) * terms.sum(axis=-1)
+    mean, log_var = p.mean, p.log_var
+    ad._broadcast_check("log_normal_diag", z, mean)
+    lv = log_var.data
+    diff = np.subtract(z.data, mean.data)
+    precision = np.negative(lv)
+    with np.errstate(over="ignore"):
+        np.exp(precision, out=precision)
+    terms = np.multiply(diff, diff)
+    np.multiply(terms, precision, out=terms)
+    np.add(lv, terms, out=terms)
+    np.add(terms, LOG_2PI, out=terms)
+    axis, shape = terms.ndim - 1, terms.shape
+    out = np.multiply(terms.sum(axis=axis), -0.5)
+
+    z_shape, mean_shape, lv_shape = z.shape, mean.shape, log_var.shape
+    z_grad, mean_grad = z.requires_grad, mean.requires_grad
+    lv_grad = log_var.requires_grad
+
+    def grad_fn(g):
+        g_terms = ad._spread(g * -0.5, axis, shape)
+        yield ad._reduce_to(g_terms, lv_shape) if lv_grad else None
+        if lv_grad:
+            g_lv = np.multiply(diff, diff)
+            np.multiply(g_terms, g_lv, out=g_lv)
+            g_lv = ad._reduce_to(g_lv, lv_shape)
+            np.multiply(g_lv, precision, out=g_lv)
+            yield np.negative(g_lv, out=g_lv)
+            del g_lv
+        else:
+            yield None
+        g_diff = np.multiply(2.0, diff)
+        np.multiply(g_diff, np.multiply(g_terms, precision), out=g_diff)
+        yield ad._reduce_to(g_diff, z_shape) if z_grad else None
+        yield ad._reduce_to(-g_diff, mean_shape) if mean_grad else None
+
+    return ad.apply_op("normal_logpdf", np.asarray(out),
+                       (log_var, log_var, z, mean), grad_fn)
 
 
 def log_standard_normal(z: Tensor) -> Tensor:

@@ -103,7 +103,7 @@ class GatedDense(Module):
         self.b2 = Tensor(np.zeros(out_dim), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return ad.mul(x @ self.w1 + self.b1, ad.sigmoid(x @ self.w2 + self.b2))
+        return ad.gated_dense(x, self.w1, self.b1, self.w2, self.b2)
 
 
 class GatedStack(Module, list):
@@ -128,7 +128,7 @@ class GaussianHead(Module):
         self.b = Tensor(np.zeros(2 * out_dim), requires_grad=True)
 
     def __call__(self, h: Tensor) -> DiagGaussian:
-        raw = h @ self.w + self.b
+        raw = ad.affine(h, self.w, self.b)
         m = self.out_dim
         return DiagGaussian(raw.slice(1, 0, m), raw.slice(1, m, 2 * m))
 
@@ -144,7 +144,7 @@ class LikelihoodHead(Module):
         self.b = Tensor(np.zeros(width), requires_grad=True)
 
     def __call__(self, h: Tensor):
-        raw = h @ self.w + self.b
+        raw = ad.affine(h, self.w, self.b)
         if self.likelihood == "bernoulli":
             return BernoulliParams(raw)
         d = self.data_dim
@@ -472,14 +472,32 @@ def save_checkpoint(model: Model, path) -> None:
         raise
 
 
+class _ZeroDraws:
+    """Stands in for the generator when a checkpoint is loaded: every draw
+    is zeros, since the payloads overwrite each initial value. The zeros
+    are written, not left to the allocator: untouched pages would fault
+    once when the finiteness screen reads them and again when the payload
+    lands."""
+
+    def uniform(self, low=0.0, high=1.0, size=None):
+        return np.full(size, 0.0)
+
+    def normal(self, loc=0.0, scale=1.0, size=None):
+        return np.full(size, 0.0)
+
+    def choice(self, a, size=None, replace=True):
+        return np.zeros(size, dtype=np.intp)
+
+
 def load_checkpoint(path) -> Model:
     """Rebuild a model from a checkpoint; bitwise inverse of save.
 
     After the magic, version and length checks only the header's spec is
-    parsed; the model is built from it, and the header must be exactly
-    `_header(model)`, byte for byte (else `FormatError` at offset 12). Each
-    payload is then read straight into its parameter's array, little-endian
-    and finite, so no second copy of the parameters exists.
+    parsed; the model is built from it on zero-filled arrays, not random
+    draws, and the header must be exactly `_header(model)`, byte for byte
+    (else `FormatError` at offset 12). Each payload is then read straight
+    into its parameter's array, little-endian and finite, so no second copy
+    of the parameters exists.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -507,8 +525,7 @@ def load_checkpoint(path) -> Model:
         placeholder = None
         if spec.prior_kind == "vamp-data":
             placeholder = np.zeros((spec.prior_components, spec.data_dim))
-        model = build_model(spec, np.random.default_rng(0),
-                            data_rows=placeholder)
+        model = build_model(spec, _ZeroDraws(), data_rows=placeholder)
         if header != _header(model):
             raise FormatError("bad checkpoint metadata: not the canonical "
                               "header for its spec", offset=12)

@@ -1,9 +1,13 @@
 """Shared test fixtures: linear-Gaussian toy models with known marginals,
-and a heap-peak probe."""
+a heap-peak probe, and the op chains the fused graph nodes replaced, with
+a probe of the gradients `backward` delivers."""
 
 import tracemalloc
 
 import numpy as np
+
+from vampvae import autodiff as ad
+from vampvae.autodiff import Graph, Tensor, backward
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -95,3 +99,69 @@ def peak_mb_above_held(fn):
     finally:
         if started:
             tracemalloc.stop()
+
+
+# -- the op chains the fused nodes replaced, kept as their bitwise references
+
+def unfused_affine(x, w, b):
+    return x @ w + b
+
+
+def unfused_gated_dense(x, w1, b1, w2, b2):
+    return ad.mul(x @ w1 + b1, ad.sigmoid(x @ w2 + b2))
+
+
+def unfused_log_normal_diag(z, p):
+    diff = ad.sub(z, p.mean)
+    precision = ad.exp(ad.neg(p.log_var))
+    terms = ad.add(p.log_var, ad.mul(diff.square(), precision)) + LOG_2PI
+    return (-0.5) * terms.sum(axis=-1)
+
+
+def unfused_bernoulli(x, logits):
+    return ad.sub(ad.mul(x, logits), ad.softplus(logits)).sum(axis=-1)
+
+
+def arriving_grads(fn, arrays, g, requires=None):
+    """fn's value on tensors of `arrays`, and the gradient `backward`
+    delivers to each of them (None where it delivers none) for upstream
+    gradient g, whose shape is the value's. The gradients are read where
+    they arrive, at a reshape in front of each leaf: a leaf writes 0.0 plus
+    its first gradient, which would hide the sign of a zero."""
+    requires = [True] * len(arrays) if requires is None else requires
+    seen = {}
+
+    def capture(i):
+        def grad_fn(grad):
+            seen[i] = grad
+            return (grad,)
+        return grad_fn
+
+    with Graph():
+        tensors = []
+        for i, (a, r) in enumerate(zip(arrays, requires)):
+            t = ad.reshape(Tensor(a, requires_grad=r), np.shape(a))
+            if t.node is not None:
+                t.node.grad_fn = capture(i)
+            tensors.append(t)
+        out = fn(*tensors)
+        backward(ad.mul(out, Tensor(g)).sum())
+    return out.data, [seen.get(i) for i in range(len(arrays))]
+
+
+def assert_same_bits(got, want):
+    # assert_array_equal alone treats -0.0 and 0.0 as equal
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def assert_same_run(got, want):
+    """Two `arriving_grads` results hold the same bits, and the same
+    inputs got no gradient."""
+    assert_same_bits(got[0], want[0])
+    for a, w in zip(got[1], want[1], strict=True):
+        if w is None:
+            assert a is None
+        else:
+            assert_same_bits(a, w)

@@ -8,6 +8,14 @@ import weakref
 import numpy as np
 import pytest
 
+from helpers import (
+    arriving_grads,
+    assert_same_bits,
+    assert_same_run,
+    unfused_affine,
+    unfused_gated_dense,
+    unfused_log_normal_diag,
+)
 from vampvae import autodiff as ad
 from vampvae import distributions
 from vampvae.autodiff import Graph, Tensor, backward, concat, grad_check
@@ -231,6 +239,12 @@ OP_CALLS = {
     "reshape": lambda f, a, r: f(a, (4, 3)),
     "narrow": lambda f, a, r: f(a, 1, 1, 3),
     "concat": lambda f, a, r: f([a, a], 0),
+    "affine": lambda f, a, r: f(a, ad.reshape(r, (4, 1)), r.slice(0, 0, 1)),
+    "gated_dense": lambda f, a, r: f(
+        a, ad.reshape(r, (4, 1)), r.slice(0, 0, 1),
+        ad.reshape(r * 0.5, (4, 1)), r.slice(0, 1, 2)),
+    "log_normal_diag": lambda f, a, r: f(
+        a, distributions.DiagGaussian(r * 0.5, r * 0.1)),
     "log_normal_diag_pairwise": lambda f, a, r: f(
         a, distributions.DiagGaussian(a * 0.5, a * 0.1)),
     "log_bernoulli": lambda f, a, r: f(a * 0.5, a),
@@ -260,6 +274,149 @@ class TestClosureContract:
                 if isinstance(value, (list, tuple)):
                     captured.extend(value)
         assert not [v for v in captured if isinstance(v, Tensor)]
+
+
+def _layer_arrays(rng, rows, fan_in=9, width=5, gated=True):
+    """x, then (w, b) once for `affine` or twice for `gated_dense`."""
+    arrays = [rng.standard_normal((rows, fan_in))]
+    for _ in range(2 if gated else 1):
+        arrays += [rng.standard_normal((fan_in, width)),
+                   rng.standard_normal(width)]
+    return arrays
+
+
+FUSED_LAYERS = [(ad.affine, unfused_affine, False),
+                (ad.gated_dense, unfused_gated_dense, True)]
+
+
+@pytest.mark.parametrize("fused,chain,gated", FUSED_LAYERS,
+                         ids=["affine", "gated_dense"])
+class TestFusedLayers:
+    """`affine` and `gated_dense` are one node each, with the bits of the
+    op chain each replaced (kept in `helpers`): the value and the gradient
+    every input receives, the sign of zeros included."""
+
+    @staticmethod
+    def _assert_matches_chain(fused, chain, arrays, g, requires=None):
+        assert_same_run(arriving_grads(fused, arrays, g, requires),
+                        arriving_grads(chain, arrays, g, requires))
+
+    @pytest.mark.parametrize("rows", [1, 7, 100])
+    def test_forward_and_gradients_match_the_op_chain(self, fused, chain,
+                                                      gated, rows):
+        rng = np.random.default_rng(40 + rows)
+        arrays = _layer_arrays(rng, rows, gated=gated)
+        self._assert_matches_chain(fused, chain, arrays,
+                                   rng.standard_normal((rows, 5)))
+
+    def test_zero_gradients_match_bit_for_bit(self, fused, chain, gated):
+        # the layers' gradients are products and sums, which give +0.0 here;
+        # the bitwise comparison would see a -0.0
+        rng = np.random.default_rng(47)
+        arrays = _layer_arrays(rng, 6, gated=gated)
+        arrays[0][:, 0] = -0.0
+        arrays[0][1] = 0.0
+        g = rng.standard_normal((6, 5))
+        g[2], g[:, 4] = 0.0, -0.0
+        want = arriving_grads(chain, arrays, g)
+        assert all((grad == 0.0).any() for grad in want[1])
+        self._assert_matches_chain(fused, chain, arrays, g)
+
+    def test_data_operand_gets_none(self, fused, chain, gated):
+        rng = np.random.default_rng(48)
+        arrays = _layer_arrays(rng, 4, gated=gated)
+        requires = [False] + [True] * (len(arrays) - 1)
+        self._assert_matches_chain(fused, chain, arrays,
+                                   rng.standard_normal((4, 5)), requires)
+
+    def test_one_node_listing_its_inputs_in_chain_order(self, fused, chain,
+                                                        gated):
+        rng = np.random.default_rng(49)
+        x, *params = (Tensor(a, requires_grad=True)
+                      for a in _layer_arrays(rng, 3, gated=gated))
+        if gated:
+            w1, b1, w2, b2 = params
+            want = (b2, x, w2, b1, x, w1)
+        else:
+            w, b = params
+            want = (b, x, w)
+        with Graph() as graph:
+            out = fused(x, *params)
+            assert graph.nodes == [out.node]
+            assert out.node.parents == want
+
+    def test_shape_errors(self, fused, chain, gated):
+        rng = np.random.default_rng(50)
+        x, *params = (Tensor(a) for a in _layer_arrays(rng, 3, gated=gated))
+        with pytest.raises(DimensionError):
+            fused(Tensor(np.ones((3, 8))), *params)
+        with pytest.raises(DimensionError):
+            fused(x, *(Tensor(np.ones(4)) if t.ndim == 1 else t
+                       for t in params))
+
+
+class TestGatedDenseScreen:
+    """Both pre-activations pass the finiteness screen: the sigmoid maps an
+    infinite gate input to 0 or 1 and would hide the overflow."""
+
+    @pytest.mark.parametrize("half", ["gate", "linear"])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_pre_activation_overflow_raises_numeric(self, half, sign):
+        x = Tensor(np.full((2, 3), 1e200))
+        small, huge = np.ones((3, 4)), np.full((3, 4), sign * 1e200)
+        w1, w2 = (small, huge) if half == "gate" else (huge, small)
+        b = Tensor(np.zeros(4))
+        # numpy's own overflow warning on the product is not the subject
+        with np.errstate(over="ignore"):
+            with pytest.raises(NumericError, match="gated_dense"):
+                ad.gated_dense(x, Tensor(w1), b, Tensor(w2), b)
+            with pytest.raises(NumericError):
+                unfused_gated_dense(x, Tensor(w1), b, Tensor(w2), b)
+
+
+class TestFusedSharedInput:
+    """A z that feeds two gated layers and a density (as z2 feeds several
+    consumers in the two-level model) sums the fused nodes' partials in the
+    chains' order, so it and every leaf get the chains' bits."""
+
+    @staticmethod
+    def _objective(gated, density):
+        def f(z, w1, b1, w2, b2, v1, c1, v2, c2, mean, log_var):
+            first = gated(z, w1, b1, w2, b2)
+            second = gated(first, v1, c1, v2, c2)
+            again = gated(z, v1, c1, v2, c2)
+            p = distributions.DiagGaussian(mean, log_var)
+            return (ad.add(second, again).sum(axis=1)
+                    + density(z, p) * 0.3)
+        return f
+
+    def _arrays(self):
+        rng = np.random.default_rng(51)
+        return [rng.standard_normal((6, 5))] + [
+            rng.standard_normal(shape)
+            for shape in [(5, 5), 5, (5, 5), 5] * 2] + [
+            rng.standard_normal((6, 5)), rng.uniform(-2.0, 2.0, (6, 5))]
+
+    def test_partials_arrive_with_the_chain_bits(self):
+        arrays = self._arrays()
+        g = np.random.default_rng(52).standard_normal(6)
+        fused = self._objective(ad.gated_dense, distributions.log_normal_diag)
+        chain = self._objective(unfused_gated_dense, unfused_log_normal_diag)
+        assert_same_run(arriving_grads(fused, arrays, g),
+                        arriving_grads(chain, arrays, g))
+
+    def test_leaf_gradients_match(self):
+        arrays = self._arrays()
+        grads = []
+        for gated, density in [
+                (ad.gated_dense, distributions.log_normal_diag),
+                (unfused_gated_dense, unfused_log_normal_diag)]:
+            leaves = [Tensor(a, requires_grad=True) for a in arrays]
+            with Graph():
+                backward(self._objective(gated, density)(*leaves).sum())
+            grads.append([t.grad for t in leaves])
+        for got, want in zip(*grads):
+            assert_same_bits(got, want)
 
 
 UNARY_OPS = [

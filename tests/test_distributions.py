@@ -6,7 +6,13 @@ import mpmath
 import numpy as np
 import pytest
 
-from vampvae import autodiff as ad
+from helpers import (
+    arriving_grads,
+    assert_same_bits,
+    assert_same_run,
+    unfused_bernoulli,
+    unfused_log_normal_diag,
+)
 from vampvae import distributions as dist
 from vampvae.autodiff import Graph, Tensor, backward, grad_check
 from vampvae.distributions import (
@@ -77,6 +83,77 @@ class TestLogNormalDiag:
         full = log_normal_diag(Tensor(z), _gauss(np.zeros(6), np.zeros(6)))
         short = log_standard_normal(Tensor(z))
         np.testing.assert_allclose(short.data, full.data, rtol=1e-14)
+
+
+def _density(fn):
+    return lambda z, mean, log_var: fn(z, DiagGaussian(mean, log_var))
+
+
+class TestFusedNormal:
+    """`log_normal_diag` is one node with the bits of the op chain it
+    replaced (`helpers.unfused_log_normal_diag`): its value and the gradient
+    each input receives, the sign of zeros included."""
+
+    M = 6
+
+    def _assert_matches_chain(self, arrays, g, requires=None):
+        got = arriving_grads(_density(log_normal_diag), arrays, g, requires)
+        want = arriving_grads(_density(unfused_log_normal_diag), arrays, g,
+                              requires)
+        assert_same_run(got, want)
+
+    @pytest.mark.parametrize("z_shape,mean_shape", [
+        ((9, M), (9, M)), ((M,), (M,)), ((9, M), (M,)), ((M,), (9, M)),
+    ], ids=["rows", "one-row", "broadcast-mean", "broadcast-z"])
+    def test_forward_and_gradients_match_the_op_chain(self, z_shape,
+                                                      mean_shape):
+        rng = np.random.default_rng(len(z_shape) * 10 + len(mean_shape))
+        arrays = (rng.standard_normal(z_shape),
+                  rng.standard_normal(mean_shape),
+                  rng.uniform(-3.0, 3.0, mean_shape))
+        rows = max(z_shape, mean_shape, key=len)[:-1]
+        g = np.asarray(rng.standard_normal(rows))
+        self._assert_matches_chain(arrays, g)
+
+    def test_signed_zeros_in_the_gradients_match(self):
+        rng = np.random.default_rng(31)
+        z = rng.standard_normal((5, self.M))
+        mean = z.copy()
+        mean[:, 3:] += 1.0
+        z[0, :2] = -0.0
+        g = rng.standard_normal(5)
+        g[1], g[2] = 0.0, -0.0
+        arrays = (z, mean, rng.uniform(-1.0, 1.0, (5, self.M)))
+        want = arriving_grads(_density(unfused_log_normal_diag), arrays, g)
+        # log_var's two partials never sum to -0.0
+        assert all(np.signbit(grad[grad == 0.0]).any() for grad in want[1][:2])
+        self._assert_matches_chain(arrays, g)
+
+    @pytest.mark.parametrize("requires", [
+        (True, False, False), (False, True, True), (False, False, True),
+        (True, True, False),
+    ])
+    def test_inputs_without_grad_get_none(self, requires):
+        rng = np.random.default_rng(32)
+        arrays = (rng.standard_normal((4, self.M)),
+                  rng.standard_normal(self.M), rng.uniform(-1.0, 1.0, self.M))
+        self._assert_matches_chain(arrays, rng.standard_normal(4), requires)
+
+    def test_one_node_with_the_log_variance_listed_twice(self):
+        z = Tensor(np.ones((2, 3)), requires_grad=True)
+        mean = Tensor(np.zeros(3), requires_grad=True)
+        with Graph() as graph:
+            p = DiagGaussian(mean, Tensor(np.zeros(3), requires_grad=True))
+            out = log_normal_diag(z, p)
+            clipped = p.log_var.node
+            assert graph.nodes == [clipped, out.node]
+            assert out.node.op == "normal_logpdf"
+            assert out.node.parents == (clipped, clipped, z, mean)
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(DimensionError):
+            log_normal_diag(Tensor(np.zeros((2, 3))),
+                            _gauss(np.zeros((3, 3)), np.zeros((3, 3))))
 
 
 class TestSampleReparam:
@@ -163,46 +240,13 @@ class TestLogBernoulli:
             assert log_bernoulli(Tensor(x), Tensor(logits)).item() <= 0.0
 
 
-def _unfused_bernoulli(x, logits):
-    """The op chain the fused node replaced, kept as the bitwise reference."""
-    return ad.sub(ad.mul(x, logits), ad.softplus(logits)).sum(axis=-1)
-
-
-def _bernoulli_run(fn, x, logits, g, x_grad=True):
-    """fn's value and the gradients `backward` delivers to x and the logits
-    for upstream gradient g. They are read where they arrive, at a reshape
-    in front of each leaf: a leaf adds its gradient to zeros, which would
-    hide the sign of a zero."""
-    seen = {}
-
-    def capture(name):
-        def grad_fn(grad):
-            seen[name] = grad
-            return (grad,)
-        return grad_fn
-
-    with Graph():
-        xt = ad.reshape(Tensor(x, requires_grad=x_grad), x.shape)
-        lt = ad.reshape(Tensor(logits, requires_grad=True), logits.shape)
-        for name, t in (("x", xt), ("logits", lt)):
-            if t.node is not None:
-                t.node.grad_fn = capture(name)
-        out = fn(xt, lt)
-        backward(ad.mul(out, Tensor(g)).sum())
-    return out.data, seen.get("x"), seen.get("logits")
-
-
 class TestFusedBernoulli:
     D = 784
 
     def _assert_matches_chain(self, x, logits, g, x_grad=True):
-        got = _bernoulli_run(log_bernoulli, x, logits, g, x_grad)
-        want = _bernoulli_run(_unfused_bernoulli, x, logits, g, x_grad)
-        for a, w in zip(got, want):
-            if w is None:
-                assert a is None
-            else:
-                _assert_same_bits(np.asarray(a), np.asarray(w))
+        got, want = (arriving_grads(fn, (x, logits), g, (x_grad, True))
+                     for fn in (log_bernoulli, unfused_bernoulli))
+        assert_same_run(got, want)
 
     @pytest.mark.parametrize("b_offset", ["one", -1, 0, 1, "101"])
     def test_forward_and_gradients_match_the_op_chain(self, b_offset):
@@ -239,8 +283,8 @@ class TestFusedBernoulli:
         g = rng.standard_normal(b)
         g[:3] = 0.0
         g[3] = -0.0
-        want = _bernoulli_run(_unfused_bernoulli, x, logits, g)
-        assert np.signbit(want[2][0]).any() and np.signbit(want[1][3]).any()
+        _, (g_x, g_logits) = arriving_grads(unfused_bernoulli, (x, logits), g)
+        assert np.signbit(g_logits[0]).any() and np.signbit(g_x[3]).any()
         self._assert_matches_chain(x, logits, g)
 
     def test_targets_without_grad_get_none(self):
@@ -407,12 +451,6 @@ def _unblocked_pairwise(z, mean, log_var, g):
     return out, g_z, g_mean, g_log_var
 
 
-def _assert_same_bits(got, want):
-    # assert_array_equal alone treats -0.0 and 0.0 as equal
-    assert got.shape == want.shape
-    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
-
-
 class TestBlockedPairwise:
     M = 40
 
@@ -438,7 +476,7 @@ class TestBlockedPairwise:
         g = rng.standard_normal((b, k))
         got = self._blocked(z, mean, log_var, g)
         for a, w in zip(got, _unblocked_pairwise(z, mean, log_var, g)):
-            _assert_same_bits(a, w)
+            assert_same_bits(a, w)
 
     def test_signed_zeros_in_the_gradients_match(self):
         # a zero upstream gradient makes every term of a sum a signed zero
@@ -455,7 +493,7 @@ class TestBlockedPairwise:
         want = _unblocked_pairwise(z, mean, log_var, g)
         assert np.signbit(want[1][4]).all()
         for a, w in zip(got, want):
-            _assert_same_bits(a, w)
+            assert_same_bits(a, w)
 
     def test_block_rows_follow_the_byte_budget(self):
         assert dist.pairwise_block_rows(500, 40) * 500 * 40 * 8 \

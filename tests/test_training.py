@@ -1,6 +1,7 @@
 """Tests for the objective, optimizer, binarization, and fitting loop."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -76,6 +77,19 @@ class TestObjective:
                   for b in (0.0, 0.5, 1.0)]
         assert losses[1] == pytest.approx((losses[0] + losses[2]) / 2,
                                           abs=1e-12)
+
+    def test_a_desk_step_records_one_node_per_layer(self):
+        # two levels, sg prior, D=64, default sizes: 14 gated layers, 4
+        # heads and 3 Gaussian densities, one node each; 150 nodes unfused
+        model = build_model(ModelSpec(levels=2, data_dim=64),
+                            np.random.default_rng(4))
+        x = np.random.default_rng(5).integers(0, 2, (100, 64)).astype(float)
+        with Graph() as graph:
+            objective(x, model, 1.0, np.random.default_rng(6))
+            ops = Counter(node.op for node in graph.nodes)
+        assert (ops["gated_dense"], ops["affine"], ops["normal_logpdf"]) \
+            == (14, 4, 3)
+        assert sum(ops.values()) == 52
 
     def test_beta_out_of_range(self):
         model = tiny_model(1)
