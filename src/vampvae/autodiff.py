@@ -27,7 +27,7 @@ module records two fused layer nodes, each one node where the op chain it
 replaces recorded several, with that chain's bytes (`distributions` fuses
 its densities the same way):
 
-- `affine` (tag ``affine``): ``x @ w + b``;
+- `matmul` with a bias (tag ``matmul``): ``x @ w + b``;
 - `gated_dense` (tag ``gated_dense``): ``(x @ w1 + b1) * sigmoid(x @ w2 +
   b2)``.
 
@@ -250,8 +250,8 @@ def apply_op(tag: str, out_data: Array, inputs: Sequence[Tensor],
              grad_fn: Callable[[Array], Iterable]) -> Tensor:
     """Finish a forward op: check finiteness, record on the active graph.
 
-    This is the extension point for fused operations, such as `affine`,
-    `gated_dense` and the densities of `distributions`: `grad_fn` receives
+    This is the extension point for fused operations, such as a biased
+    `matmul`, `gated_dense` and the densities of `distributions`: `grad_fn` receives
     the output gradient and returns one gradient (or None) per input, or
     is a generator that yields them in input order, so that each can be
     freed once `backward` has added it. It must capture arrays and shapes
@@ -364,18 +364,39 @@ def _matmul_check(tag: str, a: Tensor, b: Tensor) -> None:
                              f"{a.shape} @ {b.shape}")
 
 
-def matmul(a, b) -> Tensor:
+def _affine_values(tag: str, x: Tensor, w: Tensor,
+                   b: Tensor | None) -> Array:
+    """x @ w, plus an (N,) bias b unless it is None, in the product."""
+    _matmul_check(tag, x, w)
+    if b is not None and b.shape != (w.shape[1],):
+        raise DimensionError(f"'{tag}': bias {b.shape} does not match "
+                             f"{w.shape[1]} outputs")
+    out = x.data @ w.data
+    if b is not None:
+        np.add(out, b.data, out=out)
+    return out
+
+
+def matmul(a, b, bias=None) -> Tensor:
+    """a @ b; with an (N,) `bias`, the affine map a @ b + bias as one node
+    whose inputs are (bias, a, b), as the chain's add and matmul reached
+    them."""
     a, b = _as_tensor(a), _as_tensor(b)
-    _matmul_check("matmul", a, b)
-    out = a.data @ b.data
+    biased = bias is not None
+    bias = _as_tensor(bias) if biased else None
+    out = _affine_values("matmul", a, b, bias)
     a_data, b_data = a.data, b.data
     a_grad, b_grad = a.requires_grad, b.requires_grad
+    bias_grad = biased and bias.requires_grad
 
     def grad_fn(g):
-        return (g @ b_data.T if a_grad else None,
-                a_data.T @ g if b_grad else None)
+        if biased:
+            yield g.sum(axis=0) if bias_grad else None
+        yield g @ b_data.T if a_grad else None
+        yield a_data.T @ g if b_grad else None
 
-    return apply_op("matmul", out, (a, b), grad_fn)
+    return apply_op("matmul", out, (bias, a, b) if biased else (a, b),
+                    grad_fn)
 
 
 # -- unary elementwise ops ----------------------------------------------
@@ -462,37 +483,11 @@ def clip(a, lo=None, hi=None) -> Tensor:
     return apply_op("clip", out, (a,), grad_fn)
 
 
-# -- fused dense layers ---------------------------------------------------
+# -- fused gated dense layer ----------------------------------------------
 #
-# Each runs the ufuncs of the op chain it replaces, in that chain's order,
-# in place where the chain made a temporary that no gradient reads, and
-# lists its inputs as the chain's reversed tape reached them.
-
-def _affine_values(tag: str, x: Tensor, w: Tensor, b: Tensor) -> Array:
-    """x @ w + b for a (B, N) product and an (N,) bias, in the product."""
-    _matmul_check(tag, x, w)
-    if b.shape != (w.shape[1],):
-        raise DimensionError(f"'{tag}': bias {b.shape} does not match "
-                             f"{w.shape[1]} outputs")
-    out = x.data @ w.data
-    np.add(out, b.data, out=out)
-    return out
-
-
-def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """x @ w + b as one node; inputs (b, x, w), as the chain's add and
-    matmul reached them."""
-    out = _affine_values("affine", x, w, b)
-    x_data, w_data = x.data, w.data
-    x_grad, w_grad, b_grad = x.requires_grad, w.requires_grad, b.requires_grad
-
-    def grad_fn(g):
-        yield g.sum(axis=0) if b_grad else None
-        yield g @ w_data.T if x_grad else None
-        yield x_data.T @ g if w_grad else None
-
-    return apply_op("affine", out, (b, x, w), grad_fn)
-
+# It runs the ufuncs of the op chain it replaces, in that chain's order, in
+# place where the chain made a temporary that no gradient reads, and lists
+# its inputs as the chain's reversed tape reached them.
 
 def gated_dense(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor,
                 b2: Tensor) -> Tensor:

@@ -128,7 +128,7 @@ class GaussianHead(Module):
         self.b = Tensor(np.zeros(2 * out_dim), requires_grad=True)
 
     def __call__(self, h: Tensor) -> DiagGaussian:
-        raw = ad.affine(h, self.w, self.b)
+        raw = ad.matmul(h, self.w, self.b)
         m = self.out_dim
         return DiagGaussian(raw.slice(1, 0, m), raw.slice(1, m, 2 * m))
 
@@ -144,7 +144,7 @@ class LikelihoodHead(Module):
         self.b = Tensor(np.zeros(width), requires_grad=True)
 
     def __call__(self, h: Tensor):
-        raw = ad.affine(h, self.w, self.b)
+        raw = ad.matmul(h, self.w, self.b)
         if self.likelihood == "bernoulli":
             return BernoulliParams(raw)
         d = self.data_dim

@@ -226,7 +226,7 @@ OP_CALLS = {
     "sub": lambda f, a, r: f(a, r),
     "mul": lambda f, a, r: f(a, r),
     "neg": lambda f, a, r: f(a),
-    "matmul": lambda f, a, r: f(a, ad.reshape(r, (4, 1))),
+    "matmul": lambda f, a, r: f(a, ad.reshape(r, (4, 1)), r.slice(0, 0, 1)),
     "sigmoid": lambda f, a, r: f(a),
     "softplus": lambda f, a, r: f(a),
     "exp": lambda f, a, r: f(a),
@@ -239,7 +239,6 @@ OP_CALLS = {
     "reshape": lambda f, a, r: f(a, (4, 3)),
     "narrow": lambda f, a, r: f(a, 1, 1, 3),
     "concat": lambda f, a, r: f([a, a], 0),
-    "affine": lambda f, a, r: f(a, ad.reshape(r, (4, 1)), r.slice(0, 0, 1)),
     "gated_dense": lambda f, a, r: f(
         a, ad.reshape(r, (4, 1)), r.slice(0, 0, 1),
         ad.reshape(r * 0.5, (4, 1)), r.slice(0, 1, 2)),
@@ -277,7 +276,7 @@ class TestClosureContract:
 
 
 def _layer_arrays(rng, rows, fan_in=9, width=5, gated=True):
-    """x, then (w, b) once for `affine` or twice for `gated_dense`."""
+    """x, then (w, b) once for a biased `matmul` or twice for `gated_dense`."""
     arrays = [rng.standard_normal((rows, fan_in))]
     for _ in range(2 if gated else 1):
         arrays += [rng.standard_normal((fan_in, width)),
@@ -285,16 +284,17 @@ def _layer_arrays(rng, rows, fan_in=9, width=5, gated=True):
     return arrays
 
 
-FUSED_LAYERS = [(ad.affine, unfused_affine, False),
+FUSED_LAYERS = [(ad.matmul, unfused_affine, False),
                 (ad.gated_dense, unfused_gated_dense, True)]
 
 
 @pytest.mark.parametrize("fused,chain,gated", FUSED_LAYERS,
                          ids=["affine", "gated_dense"])
 class TestFusedLayers:
-    """`affine` and `gated_dense` are one node each, with the bits of the
-    op chain each replaced (kept in `helpers`): the value and the gradient
-    every input receives, the sign of zeros included."""
+    """The affine map (a biased `matmul`) and `gated_dense` are one node
+    each, with the bits of the op chain each replaced (kept in `helpers`):
+    the value and the gradient every input receives, the sign of zeros
+    included."""
 
     @staticmethod
     def _assert_matches_chain(fused, chain, arrays, g, requires=None):

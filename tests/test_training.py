@@ -87,7 +87,7 @@ class TestObjective:
         with Graph() as graph:
             objective(x, model, 1.0, np.random.default_rng(6))
             ops = Counter(node.op for node in graph.nodes)
-        assert (ops["gated_dense"], ops["affine"], ops["normal_logpdf"]) \
+        assert (ops["gated_dense"], ops["matmul"], ops["normal_logpdf"]) \
             == (14, 4, 3)
         assert sum(ops.values()) == 52
 
