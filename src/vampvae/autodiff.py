@@ -251,10 +251,10 @@ def apply_op(tag: str, out_data: Array, inputs: Sequence[Tensor],
     """Finish a forward op: check finiteness, record on the active graph.
 
     This is the extension point for fused operations, such as a biased
-    `matmul`, `gated_dense` and the densities of `distributions`: `grad_fn` receives
-    the output gradient and returns one gradient (or None) per input, or
-    is a generator that yields them in input order, so that each can be
-    freed once `backward` has added it. It must capture arrays and shapes
+    `matmul`, `gated_dense` and the densities of `distributions`:
+    `grad_fn` receives the output gradient and returns one gradient (or
+    None) per input, or is a generator that yields them in input order, so
+    that each can be freed once `backward` has added it. It must capture arrays and shapes
     only, never a `Tensor`, and only the arrays it reads: the tape holds
     nothing else of the forward pass, and `backward` consumes it, dropping
     `grad_fn` once it has run.
@@ -390,10 +390,11 @@ def matmul(a, b, bias=None) -> Tensor:
     bias_grad = biased and bias.requires_grad
 
     def grad_fn(g):
-        if biased:
-            yield g.sum(axis=0) if bias_grad else None
-        yield g @ b_data.T if a_grad else None
-        yield a_data.T @ g if b_grad else None
+        grads = (g @ b_data.T if a_grad else None,
+                 a_data.T @ g if b_grad else None)
+        if not biased:
+            return grads
+        return (g.sum(axis=0) if bias_grad else None,) + grads
 
     return apply_op("matmul", out, (bias, a, b) if biased else (a, b),
                     grad_fn)
