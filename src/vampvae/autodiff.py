@@ -34,6 +34,11 @@ its densities the same way):
 A fused node lists an input once per use in the chain, in the order the
 chain's reversed tape delivered gradients to it, so a parent shared with
 other nodes sums its gradients in the chain's order, and with its bits.
+Each formula a fused node shares with the ops it replaced is written once:
+`_sigmoid_values` (the `sigmoid` op, `softplus`'s gradient, the gate of
+`gated_dense` and the Bernoulli backward), `_softplus_values` (the
+`softplus` op and the Bernoulli forward) and `_affine_grads`, the gradient
+rule of every `matmul`, biased or not, and of each half of `gated_dense`.
 
 Broadcasting is deliberately narrow: two operands are compatible when their
 shapes are equal or one shape is a trailing suffix of the other (the smaller
@@ -355,19 +360,15 @@ def neg(a) -> Tensor:
     return apply_op("neg", -a.data, (a,), lambda g: (-g,))
 
 
-def _matmul_check(tag: str, a: Tensor, b: Tensor) -> None:
-    if a.ndim != 2 or b.ndim != 2:
-        raise DimensionError(f"'{tag}': operands must be 2-D, got "
-                             f"{a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise DimensionError(f"'{tag}': inner dimensions differ, "
-                             f"{a.shape} @ {b.shape}")
-
-
 def _affine_values(tag: str, x: Tensor, w: Tensor,
                    b: Tensor | None) -> Array:
     """x @ w, plus an (N,) bias b unless it is None, in the product."""
-    _matmul_check(tag, x, w)
+    if x.ndim != 2 or w.ndim != 2:
+        raise DimensionError(f"'{tag}': operands must be 2-D, got "
+                             f"{x.shape} and {w.shape}")
+    if x.shape[1] != w.shape[0]:
+        raise DimensionError(f"'{tag}': inner dimensions differ, "
+                             f"{x.shape} @ {w.shape}")
     if b is not None and b.shape != (w.shape[1],):
         raise DimensionError(f"'{tag}': bias {b.shape} does not match "
                              f"{w.shape[1]} outputs")
@@ -377,24 +378,36 @@ def _affine_values(tag: str, x: Tensor, w: Tensor,
     return out
 
 
+def _affine_grads(x: Tensor, w: Tensor, b: Tensor | None):
+    """The gradient rule of x @ w + b: a generator function of the output
+    gradient g that yields ``g.sum(axis=0)`` for b, ``g @ w.T`` for x and
+    ``x.T @ g`` for w, in that order, and None for an input without grad
+    (b is None for a product without bias). It captures arrays and flags."""
+    x_data, w_data = x.data, w.data
+    x_grad, w_grad = x.requires_grad, w.requires_grad
+    b_grad = b is not None and b.requires_grad
+
+    def grads(g):
+        yield g.sum(axis=0) if b_grad else None
+        yield g @ w_data.T if x_grad else None
+        yield x_data.T @ g if w_grad else None
+
+    return grads
+
+
 def matmul(a, b, bias=None) -> Tensor:
     """a @ b; with an (N,) `bias`, the affine map a @ b + bias as one node
     whose inputs are (bias, a, b), as the chain's add and matmul reached
-    them."""
+    them. The rule returns its gradients at once, not one at a time."""
     a, b = _as_tensor(a), _as_tensor(b)
     biased = bias is not None
     bias = _as_tensor(bias) if biased else None
     out = _affine_values("matmul", a, b, bias)
-    a_data, b_data = a.data, b.data
-    a_grad, b_grad = a.requires_grad, b.requires_grad
-    bias_grad = biased and bias.requires_grad
+    rule = _affine_grads(a, b, bias)
 
     def grad_fn(g):
-        grads = (g @ b_data.T if a_grad else None,
-                 a_data.T @ g if b_grad else None)
-        if not biased:
-            return grads
-        return (g.sum(axis=0) if bias_grad else None,) + grads
+        grads = tuple(rule(g))
+        return grads if biased else grads[1:]
 
     return apply_op("matmul", out, (bias, a, b) if biased else (a, b),
                     grad_fn)
@@ -402,11 +415,15 @@ def matmul(a, b, bias=None) -> Tensor:
 
 # -- unary elementwise ops ----------------------------------------------
 
-def _sigmoid_values(x: Array) -> Array:
-    # exp may overflow to inf for very negative x; 1/(1+inf) -> 0 is the
-    # right limit, so the expression is stable across the whole range
+def _sigmoid_values(x: Array, out: Array | None = None) -> Array:
+    """1 / (1 + exp(-x)) as negate, exp, add 1, divide, into `out` (which
+    may be x itself) or a new array. exp overflows to inf for very negative
+    x, and 1 / (1 + inf) = 0 is the right limit."""
+    out = np.negative(x, out=np.empty_like(x) if out is None else out)
     with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-x))
+        np.exp(out, out=out)
+    np.add(1.0, out, out=out)
+    return np.divide(1.0, out, out=out)
 
 
 def sigmoid(a) -> Tensor:
@@ -419,11 +436,21 @@ def sigmoid(a) -> Tensor:
     return apply_op("sigmoid", s, (a,), grad_fn)
 
 
+def _softplus_values(x: Array, out: Array | None = None,
+                     work: Array | None = None) -> Array:
+    """max(x, 0) + log1p(exp(-|x|)), overflow-safe for any x, into `out` (not
+    x itself) or a new array; `work`, of x's shape, takes max(x, 0)."""
+    out = np.abs(x, out=np.empty_like(x) if out is None else out)
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    np.log1p(out, out=out)
+    return np.add(np.maximum(x, 0.0, out=work), out, out=out)
+
+
 def softplus(a) -> Tensor:
-    # max(x, 0) + log1p(exp(-|x|)): overflow-safe for any x.
     a = _as_tensor(a)
     x = a.data
-    out = np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+    out = _softplus_values(x)
 
     def grad_fn(g):
         return (g * _sigmoid_values(x),)
@@ -503,29 +530,18 @@ def gated_dense(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor,
     s = _affine_values("gated_dense", x, w2, b2)
     _ensure_finite("gated_dense", h)
     _ensure_finite("gated_dense", s)
-    # the sigmoid 1 / (1 + exp(-s)), step by step in place
-    np.negative(s, out=s)
-    with np.errstate(over="ignore"):
-        np.exp(s, out=s)
-    np.add(1.0, s, out=s)
-    np.divide(1.0, s, out=s)
-    x_data, w1_data, w2_data = x.data, w1.data, w2.data
-    x_grad = x.requires_grad
-    w1_grad, b1_grad = w1.requires_grad, b1.requires_grad
-    w2_grad, b2_grad = w2.requires_grad, b2.requires_grad
+    _sigmoid_values(s, out=s)
+    gate = _affine_grads(x, w2, b2)
+    linear = _affine_grads(x, w1, b1)
 
     def grad_fn(g):
         g_h = g * s
         g_s = g * h
         g_s *= s
         g_s *= 1.0 - s
-        yield g_s.sum(axis=0) if b2_grad else None
-        yield g_s @ w2_data.T if x_grad else None
-        yield x_data.T @ g_s if w2_grad else None
+        yield from gate(g_s)
         del g_s  # freed before the linear half's products
-        yield g_h.sum(axis=0) if b1_grad else None
-        yield g_h @ w1_data.T if x_grad else None
-        yield x_data.T @ g_h if w1_grad else None
+        yield from linear(g_h)
 
     return apply_op("gated_dense", np.multiply(h, s), (b2, x, w2, b1, x, w1),
                     grad_fn)

@@ -35,7 +35,6 @@ from .models import (
 from .priors import PRIOR_KINDS, MixtureOfGaussians, VampPrior
 from .training import TrainConfig, fit
 
-USAGE_ERROR = 2
 RUNTIME_ERROR = 1
 # the shell's code for a process ended by SIGINT (128 + 2)
 INTERRUPTED = 130

@@ -11,7 +11,11 @@ small reused buffer, `log_normal_diag_pairwise` (tag
 ``normal_logpdf_pairwise``) and `log_bernoulli` (tag ``log_bernoulli``).
 Each follows the operation order of the unfused op chain it replaces, so
 its bytes are that chain's, without the chain's nodes and full-size
-temporaries.
+temporaries. The two Gaussian densities form their summands with one
+function, `_gaussian_terms`, and `log_bernoulli` takes its softplus and
+sigmoid from `autodiff`, the functions the chain's `softplus` and
+`sigmoid` nodes run. Bernoulli targets are data: they have the logits'
+shape and take no gradient.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import DimensionError, DomainError
+from .errors import ContractError, DimensionError, DomainError
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -69,6 +73,16 @@ def _check_event_dim(name: str, z, p: DiagGaussian) -> None:
         raise DimensionError(f"{name}: event dim {z.shape[-1]} != {p.dim}")
 
 
+def _gaussian_terms(diff: np.ndarray, log_var: np.ndarray,
+                    precision: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The summands ``log_var + diff^2 * precision + log 2 pi`` of -2 log N,
+    in that order, into `out` (which may be diff itself)."""
+    np.multiply(diff, diff, out=out)
+    np.multiply(out, precision, out=out)
+    np.add(log_var, out, out=out)
+    return np.add(out, LOG_2PI, out=out)
+
+
 def log_normal_diag(z: Tensor, p: DiagGaussian) -> Tensor:
     """log N(z | p.mean, diag(exp(p.log_var))), summed over the event axis.
 
@@ -84,13 +98,8 @@ def log_normal_diag(z: Tensor, p: DiagGaussian) -> Tensor:
     ad._broadcast_check("log_normal_diag", z, mean)
     lv = log_var.data
     diff = np.subtract(z.data, mean.data)
-    precision = np.negative(lv)
-    with np.errstate(over="ignore"):
-        np.exp(precision, out=precision)
-    terms = np.multiply(diff, diff)
-    np.multiply(terms, precision, out=terms)
-    np.add(lv, terms, out=terms)
-    np.add(terms, LOG_2PI, out=terms)
+    precision = np.exp(-lv)
+    terms = _gaussian_terms(diff, lv, precision, np.empty_like(diff))
     axis, shape = terms.ndim - 1, terms.shape
     out = np.multiply(terms.sum(axis=axis), -0.5)
 
@@ -153,9 +162,10 @@ def _accumulate_rows(acc: np.ndarray | None, block: np.ndarray) -> np.ndarray:
 def log_normal_diag_pairwise(z: Tensor, p: DiagGaussian) -> Tensor:
     """(B, K) matrix of log N(z_b | mean_k, var_k) as one fused graph node.
 
-    The arithmetic mirrors `log_normal_diag` term for term, so a K=1 column
-    is bitwise equal to the plain density and rows permute exactly with the
-    components. The fused form keeps mixture priors at O(1) graph nodes.
+    Each block's summands come from `_gaussian_terms`, as the plain
+    density's do, so a K=1 column is bitwise equal to the plain density and
+    rows permute exactly with the components. The fused form keeps mixture
+    priors at O(1) graph nodes.
 
     Forward and backward run over blocks of `pairwise_block_rows` rows of z
     in one reused (rows, K, M) buffer, in the operation order of the
@@ -174,11 +184,8 @@ def log_normal_diag_pairwise(z: Tensor, p: DiagGaussian) -> Tensor:
     buf = np.empty((min(rows, b), k, m))
     out = np.empty((b, k))
     for lo in range(0, b, rows):
-        terms = _pairwise_diff(zd, mu, lo, buf)
-        np.multiply(terms, terms, out=terms)
-        np.multiply(terms, precision, out=terms)
-        np.add(lv, terms, out=terms)
-        np.add(terms, LOG_2PI, out=terms)
+        diff = _pairwise_diff(zd, mu, lo, buf)
+        terms = _gaussian_terms(diff, lv, precision, diff)
         np.sum(terms, axis=-1, out=out[lo:lo + terms.shape[0]])
     out *= -0.5
 
@@ -224,36 +231,31 @@ def bernoulli_block_rows(d: int) -> int:
     return max(1, BERNOULLI_BLOCK_BYTES // (8 * max(d, 1)))
 
 
-def _rows(t: Tensor, shape: tuple[int, ...]) -> np.ndarray:
-    """`t` broadcast to `shape` as a (rows, D) matrix; a view when `t`
-    already has that shape and is contiguous."""
-    return np.broadcast_to(t.data, shape).reshape(-1, shape[-1])
-
-
 def log_bernoulli(x: Tensor, logits: Tensor) -> Tensor:
     """Bernoulli log-mass sum_d [x log s(l) + (1-x) log(1-s(l))].
 
     Computed in the fused form x*l - softplus(l), which is exact for hard
     targets, linear in soft targets, and immune to sigmoid saturation.
 
-    One graph node whose forward runs over blocks of `bernoulli_block_rows`
-    rows in two reused buffers, in the order of the op chain
-    ``sum(x * l - softplus(l))``. The backward returns ``(-g) s(l) + g x``
-    for the logits, the order in which that chain's tape added them up, and
-    ``g l`` for x only when x requires grad. Operands broadcast as in
-    `autodiff`, with the chain's bits, except the gradient of logits
-    broadcast over a larger x: it is reduced once, not once per term.
+    The targets x are data: they have the logits' shape and take no
+    gradient. One graph node whose forward runs over blocks of
+    `bernoulli_block_rows` rows in two reused buffers, in the order of the
+    op chain ``sum(x * l - softplus(l))``. The backward returns
+    ``(-g) s(l) + g x`` for the logits, the order in which that chain's
+    tape added them up.
     """
     x = x if isinstance(x, Tensor) else Tensor(x)
     logits = logits if isinstance(logits, Tensor) else Tensor(logits)
     if np.any(x.data < 0.0) or np.any(x.data > 1.0):
         raise DomainError("log_bernoulli targets must lie in [0, 1]")
-    if x.shape[-1] != logits.shape[-1]:
-        raise DimensionError(f"log_bernoulli: target dim {x.shape[-1]} != "
-                             f"logit dim {logits.shape[-1]}")
-    ad._broadcast_check("log_bernoulli", x, logits)
-    shape = max(x.shape, logits.shape, key=len)
-    xr, lr = _rows(x, shape), _rows(logits, shape)
+    if x.shape != logits.shape:
+        raise DimensionError(f"log_bernoulli: targets {x.shape} != logits "
+                             f"{logits.shape}")
+    if x.requires_grad:
+        raise ContractError("log_bernoulli targets are data and must not "
+                            "require grad")
+    shape = logits.shape
+    xr, lr = x.data.reshape(-1, shape[-1]), logits.data.reshape(-1, shape[-1])
     n, d = lr.shape
     rows = bernoulli_block_rows(d)
     soft, prod = np.empty((min(rows, n), d)), np.empty((min(rows, n), d))
@@ -261,40 +263,24 @@ def log_bernoulli(x: Tensor, logits: Tensor) -> Tensor:
     for lo in range(0, n, rows):
         hi = min(lo + rows, n)
         sp, xl = soft[:hi - lo], prod[:hi - lo]
-        np.abs(lr[lo:hi], out=sp)
-        np.negative(sp, out=sp)
-        np.exp(sp, out=sp)
-        np.log1p(sp, out=sp)
-        np.add(np.maximum(lr[lo:hi], 0.0, out=xl), sp, out=sp)
+        ad._softplus_values(lr[lo:hi], out=sp, work=xl)
         np.multiply(xr[lo:hi], lr[lo:hi], out=xl)
         np.subtract(xl, sp, out=xl)
         np.sum(xl, axis=-1, out=out[lo:hi])
 
-    x_shape, l_shape = x.shape, logits.shape
-    x_grad, l_grad = x.requires_grad, logits.requires_grad
     block = soft.shape
 
     def grad_fn(g):
+        # recorded only when the logits require grad
         gr = np.reshape(g, (n, 1))
-        g_x = g_l = None
-        if x_grad:
-            g_x = ad._reduce_to(np.multiply(gr, lr).reshape(shape), x_shape)
-        if l_grad:
-            g_l = np.empty((n, d))
-            buf = np.empty(block)
-            for lo in range(0, n, rows):
-                hi = min(lo + rows, n)
-                gb, s = gr[lo:hi], g_l[lo:hi]
-                np.negative(lr[lo:hi], out=s)
-                with np.errstate(over="ignore"):
-                    np.exp(s, out=s)
-                np.add(1.0, s, out=s)
-                np.divide(1.0, s, out=s)
-                np.multiply(np.negative(gb), s, out=s)
-                np.add(s, np.multiply(gb, xr[lo:hi], out=buf[:hi - lo]),
-                       out=s)
-            g_l = ad._reduce_to(g_l.reshape(shape), l_shape)
-        return g_x, g_l
+        g_l = np.empty((n, d))
+        buf = np.empty(block)
+        for lo in range(0, n, rows):
+            hi = min(lo + rows, n)
+            gb, s = gr[lo:hi], ad._sigmoid_values(lr[lo:hi], out=g_l[lo:hi])
+            np.multiply(np.negative(gb), s, out=s)
+            np.add(s, np.multiply(gb, xr[lo:hi], out=buf[:hi - lo]), out=s)
+        return None, g_l.reshape(shape)
 
     return ad.apply_op("log_bernoulli", out.reshape(shape[:-1]), (x, logits),
                        grad_fn)

@@ -68,10 +68,6 @@ class MixtureOfGaussians(Module):
     def k(self) -> int:
         return self.means.shape[0]
 
-    @property
-    def dim(self) -> int:
-        return self.means.shape[1]
-
     def components(self) -> DiagGaussian:
         return DiagGaussian(self.means, self.log_vars)
 

@@ -24,7 +24,7 @@ from vampvae.distributions import (
     normal_entropy,
     sample_reparam,
 )
-from vampvae.errors import DimensionError, DomainError
+from vampvae.errors import ContractError, DimensionError, DomainError
 
 LOG_2PI = math.log(2 * math.pi)
 
@@ -241,10 +241,13 @@ class TestLogBernoulli:
 
 
 class TestFusedBernoulli:
+    """`log_bernoulli` has the bits of the op chain it replaced, for data
+    targets of the logits' shape, the only targets it takes."""
+
     D = 784
 
-    def _assert_matches_chain(self, x, logits, g, x_grad=True):
-        got, want = (arriving_grads(fn, (x, logits), g, (x_grad, True))
+    def _assert_matches_chain(self, x, logits, g):
+        got, want = (arriving_grads(fn, (x, logits), g, (False, True))
                      for fn in (log_bernoulli, unfused_bernoulli))
         assert_same_run(got, want)
 
@@ -283,26 +286,22 @@ class TestFusedBernoulli:
         g = rng.standard_normal(b)
         g[:3] = 0.0
         g[3] = -0.0
-        _, (g_x, g_logits) = arriving_grads(unfused_bernoulli, (x, logits), g)
-        assert np.signbit(g_logits[0]).any() and np.signbit(g_x[3]).any()
+        _, (_, g_logits) = arriving_grads(unfused_bernoulli, (x, logits), g,
+                                          (False, True))
+        assert np.signbit(g_logits[0]).any()
         self._assert_matches_chain(x, logits, g)
 
     def test_targets_without_grad_get_none(self):
         rng = np.random.default_rng(24)
         x = (rng.random((5, 7)) < 0.5).astype(float)
-        logits = rng.standard_normal((5, 7))
-        self._assert_matches_chain(x, logits, rng.standard_normal(5),
-                                   x_grad=False)
+        logits = Tensor(rng.standard_normal((5, 7)), requires_grad=True)
         with Graph():
-            out = log_bernoulli(Tensor(x), Tensor(logits, requires_grad=True))
+            out = log_bernoulli(Tensor(x), logits)
             g_x, g_logits = out.node.grad_fn(np.ones(5))
         assert g_x is None and g_logits.shape == (5, 7)
-
-    def test_one_target_row_broadcast_over_the_logits(self):
-        rng = np.random.default_rng(25)
-        x = (rng.random(7) < 0.5).astype(float)
-        self._assert_matches_chain(x, rng.standard_normal((30, 7)),
-                                   rng.standard_normal(30))
+        # targets are data: one that requires grad is a caller's mistake
+        with Graph(), pytest.raises(ContractError):
+            log_bernoulli(Tensor(x, requires_grad=True), logits)
 
     def test_empty_batch(self):
         with Graph():
@@ -319,6 +318,9 @@ class TestFusedBernoulli:
         with pytest.raises(DimensionError):
             log_bernoulli(Tensor(np.zeros((2, 3, 4))),
                           Tensor(np.zeros((3, 2, 4))))
+        # one target row is not broadcast over many rows of logits
+        with pytest.raises(DimensionError):
+            log_bernoulli(Tensor(np.ones(7)), Tensor(np.zeros((30, 7))))
 
     def test_block_rows_follow_the_byte_budget(self):
         assert dist.bernoulli_block_rows(self.D) * self.D * 8 \
