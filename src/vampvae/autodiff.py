@@ -40,6 +40,16 @@ Each formula a fused node shares with the ops it replaced is written once:
 `softplus` op and the Bernoulli forward) and `_affine_grads`, the gradient
 rule of every `matmul`, biased or not, and of each half of `gated_dense`.
 
+A `Branch` is a computation on leaves only, such as a prior's re-encoding
+of its pseudo-inputs, recorded on a graph of its own and joined into the
+main tape where a single tape would have recorded it; `backward` replays
+it on the package's one helper thread beside the rest of the main replay
+(on the calling thread, where a process may use only one CPU).
+`backward` orders every add into a leaf both reach as the single tape
+would, so the bytes do not depend on the thread that computed them, and
+it passes each leaf to the graph's `on_final` callback, when one is set,
+once its gradient is complete (`training.step` applies Adam there).
+
 Broadcasting is deliberately narrow: two operands are compatible when their
 shapes are equal or one shape is a trailing suffix of the other (the smaller
 operand is repeated over the leading batch dimensions). Python scalars are
@@ -48,8 +58,11 @@ always accepted. Nothing wider is supported.
 
 from __future__ import annotations
 
+import os
+import queue
 import threading
 import weakref
+from concurrent import futures
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -107,14 +120,18 @@ class Node:
 class Graph:
     """Tape of nodes recorded during one forward pass (define-by-run).
 
-    Confined to a single thread between entry and the matching `backward`;
-    the tape is released on exit.
+    Confined to a single thread between entry and the matching `backward`,
+    apart from the replays of its `Branch`es; leaving the block ends those
+    and releases the tape. `on_final`, when set, is the callback
+    `backward` passes each leaf to once its gradient is complete.
     """
 
-    __slots__ = ("nodes",)
+    __slots__ = ("nodes", "branches", "on_final")
 
     def __init__(self):
         self.nodes: list[Node] = []
+        self.branches: list[Branch] = []
+        self.on_final: Callable[[Tensor], None] | None = None
 
     def __enter__(self) -> "Graph":
         _graph_stack().append(self)
@@ -125,11 +142,164 @@ class Graph:
         if not stack or stack[-1] is not self:
             raise ContractError("graph context exited out of order")
         stack.pop()
+        try:
+            for branch in self.branches:
+                branch._end()
+        finally:
+            self.branches.clear()
+            self._release()
+
+    def _release(self) -> None:
+        # every recorded output drops its node, which breaks the node ->
+        # graph -> nodes cycles
         for node in self.nodes:
             out = node.out()
             if out is not None:
                 out.node = None
         self.nodes.clear()
+
+
+def recording() -> bool:
+    """Whether a `Graph` block is recording on this thread."""
+    return _active_graph() is not None
+
+
+class _Helper:
+    """The package's one helper thread: it runs the calls submitted to it
+    one at a time, in order, and reports each through a `Future`. It is a
+    daemon thread, started on first use (and again in a forked child), and
+    idle between calls; no option governs it."""
+
+    def __init__(self):
+        self._calls = queue.SimpleQueue()
+        self._thread: threading.Thread | None = None
+        self._lock = threading.Lock()
+
+    def submit(self, fn: Callable[[], object]) -> futures.Future:
+        task = futures.Future()
+        with self._lock:
+            if self._thread is None or not self._thread.is_alive():
+                self._thread = threading.Thread(
+                    target=self._serve, name="vampvae-helper", daemon=True)
+                self._thread.start()
+        self._calls.put((task, fn))
+        return task
+
+    def _serve(self) -> None:
+        while True:
+            task, fn = self._calls.get()
+            if task.set_running_or_notify_cancel():
+                try:
+                    task.set_result(fn())
+                except BaseException as exc:  # reported to the waiter
+                    task.set_exception(exc)
+            task = fn = None
+
+
+_helper = _Helper()
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+class Branch:
+    """A computation on leaves only, recorded on a graph of its own and
+    joined into the recording graph where a single tape would have recorded
+    it, so that `backward` can replay it on the helper thread.
+
+    Created inside a `Graph` block, it runs `fn` at once on the calling
+    thread; `fn` returns a tuple of tensors computed from tensors recorded
+    on no graph. `outputs` are those tensors on the recording graph, each
+    that requires grad as a ``join`` node. `backward` hands the join nodes'
+    gradients to the helper once its replay has passed them, and waits for
+    the branch before it adds into a leaf the branch also reached and
+    before it returns, so every leaf sums its gradients in the single
+    tape's order; a process allowed one CPU replays it on the calling
+    thread instead, where the single tape would have. Leaving the
+    recording block ends the branch: a queued replay is cancelled, a
+    running one waited for, and the branch's tape released. An error
+    raised on the helper is raised again by `backward`.
+    """
+
+    __slots__ = ("graph", "index", "leaves", "heads", "grads", "task",
+                 "outputs")
+
+    def __init__(self, fn: Callable[[], Sequence[Tensor]]):
+        owner = _active_graph()
+        if owner is None:
+            raise ContractError("a branch is recorded inside a Graph")
+        self.graph = Graph()
+        # the first join node's place on the owner's tape, once joined
+        self.index: int | None = None
+        self.heads: list[Node] = []
+        self.grads: list[Array | None] = []
+        self.task: futures.Future | None = None
+        # registered first, so that leaving the block releases the tape
+        # even when `fn` fails
+        owner.branches.append(self)
+        stack = _graph_stack()
+        stack.append(self.graph)
+        try:
+            outs = tuple(fn())
+        finally:
+            stack.pop()
+        self.leaves = frozenset(p for node in self.graph.nodes
+                                for p in node.parents if isinstance(p, Tensor))
+        if any(t.node is not None for t in self.leaves) or any(
+                t.node is not None and t.node.graph is not self.graph
+                for t in outs):
+            raise ContractError("a branch reads only tensors recorded on no "
+                                "graph")
+        self.outputs = tuple(self._join(t, owner) for t in outs)
+
+    def _join(self, t: Tensor, owner: Graph) -> Tensor:
+        if t.node is None:
+            return t
+        out = Tensor.__new__(Tensor)
+        out.data = t.data
+        out.grad = None
+        out.requires_grad = True
+        out.node = Node("join", (), weakref.ref(out),
+                        self._receiver(len(self.heads)), owner,
+                        len(owner.nodes))
+        if self.index is None:
+            self.index = len(owner.nodes)
+        owner.nodes.append(out.node)
+        self.heads.append(t.node)
+        self.grads.append(None)
+        return out
+
+    def _receiver(self, i: int):
+        grads = self.grads
+
+        def grad_fn(g):
+            grads[i] = g
+            return ()
+
+        return grad_fn
+
+    def _replay(self) -> None:
+        pending = {node: g for node, g in zip(self.heads, self.grads)
+                   if g is not None}
+        self.grads.clear()
+        _replay(self.graph.nodes, pending)
+
+    def _submit_replay(self) -> bool:
+        """Replay the branch on the helper from the gradients its join
+        nodes received; False, with nothing submitted, if none did."""
+        if not any(g is not None for g in self.grads):
+            return False
+        self.task = _helper.submit(self._replay)
+        return True
+
+    def _end(self) -> None:
+        if self.task is not None:
+            self.task.cancel()
+            futures.wait([self.task])
+        self.graph._release()
 
 
 class Tensor:
@@ -431,7 +601,9 @@ def sigmoid(a) -> Tensor:
     s = _sigmoid_values(a.data)
 
     def grad_fn(g):
-        return (g * s * (1.0 - s),)
+        gs = g * s
+        gs *= 1.0 - s
+        return (gs,)
 
     return apply_op("sigmoid", s, (a,), grad_fn)
 
@@ -679,29 +851,111 @@ def concat(tensors, axis=0) -> Tensor:
 # -- backward pass --------------------------------------------------------
 
 def backward(root: Tensor) -> None:
-    """Accumulate d(root)/d(leaf) into `.grad` of every requires-grad leaf."""
+    """Accumulate d(root)/d(leaf) into `.grad` of every requires-grad leaf.
+
+    When the graph's `on_final` is set, each leaf that received a gradient
+    is passed to it, on the calling thread, once its last gradient is in:
+    after the node that last delivers to it has finished its rule, or, for
+    a leaf a `Branch` reaches after every node of this tape, once the
+    branch has finished. That is as soon as it is final while a branch
+    replays on the helper thread, so the callback's work overlaps the
+    branch; otherwise it is after the replay, in the same order, where
+    interleaving the callback's work with the replay only measured slower.
+
+    A process allowed one CPU replays its branches on the calling thread,
+    each where a single tape would have: there the helper only added
+    thread switches and measured slower.
+    """
     if not isinstance(root, Tensor) or root.node is None:
         raise ContractError("backward root must be produced inside a Graph")
     if root.shape != ():
         raise ContractError(f"backward requires a scalar root, got shape "
                             f"{root.shape}")
     graph = root.node.graph
-    pending: dict[Node, Array] = {root.node: np.asarray(1.0)}
-    for node in reversed(graph.nodes[:root.node.index + 1]):
+    on_final = graph.on_final
+    nodes = graph.nodes[:root.node.index + 1]
+    joins = {b.index: b for b in graph.branches
+             if b.index is not None and b.index < len(nodes)}
+    # where each leaf gets its last gradient: the node nearest the tape's
+    # start that lists it, or the join of a branch reaching it before that
+    last: dict[Tensor, int] = {}
+    for node in nodes:
+        for parent in node.parents:
+            if isinstance(parent, Tensor):
+                last.setdefault(parent, node.index)
+    for index, branch in joins.items():
+        for leaf in branch.leaves:
+            if index < last.get(leaf, len(nodes)):
+                last[leaf] = index
+    finals: dict[int, list[Tensor]] = {}
+    for leaf, index in last.items():
+        finals.setdefault(index, []).append(leaf)
+    running: list[Branch] = []  # replaying on the helper, oldest first
+    shared: set[Tensor] = set()  # the leaves they reach
+    held: list[Tensor] = []  # final leaves passed on after the replay
+    overlapped = bool(joins) and _usable_cpus() > 1
+    pass_on = on_final if overlapped else held.append
+
+    def finish(index):
+        for leaf in finals.pop(index, ()):
+            if on_final is not None and leaf.grad is not None:
+                pass_on(leaf)
+
+    def drain():
+        for branch in running:
+            branch.task.result()
+            finish(branch.index)
+        running.clear()
+        shared.clear()
+
+    def before_leaf(leaf):
+        if leaf in shared:
+            drain()
+
+    def passed(node):
+        branch = joins.get(node.index)
+        if branch is not None and not overlapped:
+            branch._replay()  # here, where the single tape replays it
+        elif branch is not None and branch._submit_replay():
+            running.append(branch)
+            shared.update(branch.leaves)
+            return
+        if shared and not shared.isdisjoint(finals.get(node.index, ())):
+            drain()
+        finish(node.index)
+
+    _replay(nodes, {root.node: np.asarray(1.0)}, before_leaf, passed)
+    drain()
+    for leaf in held:
+        on_final(leaf)
+
+
+def _replay(nodes: list[Node], pending: dict[Node, Array],
+            before_leaf=None, passed=None) -> None:
+    """Replay `nodes` newest first, from the output gradients in `pending`:
+    each node's rule adds its input gradients into `pending` or into leaf
+    `.grad`s. `before_leaf(leaf)` runs before each add into a leaf and
+    `passed(node)` once the replay is past a node, whether or not a
+    gradient reached it."""
+    for node in reversed(nodes):
         gout = pending.pop(node, None)
-        if gout is None:
-            continue
-        if node.grad_fn is None:
-            raise ContractError("backward already consumed this part of the "
-                                "tape; record a new graph")
-        grads = node.grad_fn(gout)
-        node.grad_fn = gout = None
-        for parent, gin in zip(node.parents, grads):
-            if gin is not None and parent is not None:
-                _add_grad(pending, parent, np.asarray(gin, dtype=np.float64))
-            # dropped before a yielding rule computes the next gradient
-            gin = None
-        grads = None
+        if gout is not None:
+            if node.grad_fn is None:
+                raise ContractError("backward already consumed this part of "
+                                    "the tape; record a new graph")
+            grads = node.grad_fn(gout)
+            node.grad_fn = gout = None
+            for parent, gin in zip(node.parents, grads):
+                if gin is not None and parent is not None:
+                    if before_leaf is not None and isinstance(parent, Tensor):
+                        before_leaf(parent)
+                    _add_grad(pending, parent,
+                              np.asarray(gin, dtype=np.float64))
+                # dropped before a yielding rule computes the next gradient
+                gin = None
+            grads = None
+        if passed is not None:
+            passed(node)
 
 
 def _add_grad(pending: dict[Node, Array], parent, gin: Array) -> None:

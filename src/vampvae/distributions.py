@@ -63,6 +63,14 @@ class DiagGaussian:
         self.mean = mean
         self.log_var = log_var.clip(LOG_VAR_MIN, LOG_VAR_MAX)
 
+    @classmethod
+    def clipped(cls, mean: Tensor, log_var: Tensor) -> "DiagGaussian":
+        """A Gaussian from a log-variance already in the band, such as
+        another `DiagGaussian`'s: no second clip is recorded."""
+        out = cls.__new__(cls)
+        out.mean, out.log_var = mean, log_var
+        return out
+
     @property
     def dim(self) -> int:
         return self.mean.shape[-1]

@@ -119,7 +119,22 @@ class VampPrior(Module):
         return None
 
     def log_prob(self, z: Tensor) -> Tensor:
-        return _mixture_log_prob(z, self.components(), self._log_weights())
+        return _mixture_log_prob(z, self._recorded_components(),
+                                 self._log_weights())
+
+    def _recorded_components(self) -> DiagGaussian:
+        """`components()`, recorded as an autodiff branch while a graph
+        records: the pseudo-inputs do not depend on the batch, so
+        `backward` replays their re-encoding on the helper thread beside
+        the batch's own replay."""
+        if not ad.recording():
+            return self.components()
+
+        def run():
+            comps = self.components()
+            return comps.mean, comps.log_var
+
+        return DiagGaussian.clipped(*ad.Branch(run).outputs)
 
 
 class VampDataPrior(VampPrior):

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Graph, Tensor, backward
+from .autodiff import Graph, Tensor
 from .errors import ContractError, DomainError
 from .models import with_frozen_prior
 
@@ -79,8 +79,18 @@ def objective(batch, model, beta: float, rng, mc_samples: int = 1) -> Tensor:
     return ad.neg(weighted.mean())
 
 
-def step(params: dict[str, Tensor], opt: AdamState, lr: float) -> None:
+def step(params: dict[str, Tensor], opt: AdamState, lr: float,
+         loss: Tensor | None = None) -> None:
     """One update: rescale each block's gradient to unit L2 norm, then Adam.
+
+    Given `loss`, it sets the loss graph's `on_final`, runs
+    `backward(loss)`, updates each parameter as `backward` passes it on as
+    final, and drops that gradient: while the prior's branch replays on
+    the helper thread that is the moment the gradient is complete, so the
+    updates overlap the branch and finished gradients are freed before its
+    first-layer backward. Without `loss` it updates from the gradients the
+    parameters hold. Either way every trainable parameter needs a
+    gradient, and gets the same bits.
 
     Blocks whose gradient norm is below the floor are left untouched,
     moments included. The norm is one sum over the whole block; the update
@@ -93,23 +103,30 @@ def step(params: dict[str, Tensor], opt: AdamState, lr: float) -> None:
 
     so parameters and moments hold the same bits as the whole-array form.
     """
+    if loss is not None and loss.node is None:
+        raise ContractError("step's loss must be produced inside a Graph")
     opt.step += 1
     t = opt.step
     corr1 = 1.0 - opt.beta1 ** t
     corr2 = 1.0 - opt.beta2 ** t
-    a = np.empty(ADAM_CHUNK)
-    b = np.empty(ADAM_CHUNK)
-    for name, p in params.items():
-        if not p.requires_grad:
-            continue
-        if p.grad is None:
+    names = {p: name for name, p in params.items() if p.requires_grad}
+    scratch: list[np.ndarray] = []  # made by the first update, not before
+
+    def update(p: Tensor) -> None:
+        if not scratch:
+            scratch.extend((np.empty(ADAM_CHUNK), np.empty(ADAM_CHUNK)))
+        a, b = scratch
+        name, full = names.pop(p), p.grad
+        if full is None:
             raise ContractError(f"missing gradient for parameter '{name}'")
-        norm = float(np.sqrt((p.grad * p.grad).sum()))
+        if loss is not None:
+            p.grad = None
+        norm = float(np.sqrt((full * full).sum()))
         if norm < GRAD_NORM_FLOOR:
-            continue
+            return
         # reshape(-1) views a C-contiguous array; the moments always are
         p.data = np.require(p.data, requirements="CW")
-        grad, w = p.grad.reshape(-1), p.data.reshape(-1)
+        grad, w = full.reshape(-1), p.data.reshape(-1)
         m, v = opt.m[name].reshape(-1), opt.v[name].reshape(-1)
         for lo in range(0, w.size, ADAM_CHUNK):
             hi = min(lo + ADAM_CHUNK, w.size)
@@ -127,6 +144,16 @@ def step(params: dict[str, Tensor], opt: AdamState, lr: float) -> None:
             np.sqrt(s, out=s)
             np.add(s, opt.eps, out=s)
             wc -= np.divide(g, s, out=g)
+
+    def final(p: Tensor) -> None:
+        if p in names:
+            update(p)
+
+    if loss is not None:
+        loss.node.graph.on_final = final
+        ad.backward(loss)
+    for p in list(names):
+        update(p)
 
 
 def dynamic_binarize(batch: np.ndarray, rng) -> np.ndarray:
@@ -240,12 +267,7 @@ def fit(train: np.ndarray, val: np.ndarray, model, config: TrainConfig,
             with Graph():
                 loss = objective(rows, model, beta, train_rng,
                                  config.mc_samples)
-                backward(loss)
-            step(trainable, opt, config.learning_rate)
-            # dropped here, not before the next graph, so validation and
-            # the best-state copy do not sit on top of a full set of them
-            for p in trainable.values():
-                p.zero_grad()
+                step(trainable, opt, config.learning_rate, loss)
             loss_sum += loss.item() * rows.shape[0]
         train_loss = loss_sum / train.shape[0]
 

@@ -6,7 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from helpers import peak_mb_above_held, zero_parameters
+from helpers import assert_same_bits, peak_mb_above_held, zero_parameters
 from vampvae import cli, training
 from vampvae.autodiff import Graph, Tensor, backward
 from vampvae.datasets import synth_clusters
@@ -141,6 +141,52 @@ class TestStep:
         opt = AdamState(params)
         with pytest.raises(ContractError):
             step(params, opt, lr=1e-2)
+
+    @pytest.mark.parametrize("given_loss", [False, True])
+    def test_missing_gradient_names_the_parameter(self, given_loss):
+        params = {"w": Tensor([1.0, 2.0], requires_grad=True),
+                  "unused": Tensor([3.0], requires_grad=True)}
+        opt = AdamState(params)
+        message = "missing gradient for parameter 'unused'"
+        with Graph():
+            loss = (params["w"] * params["w"]).sum()
+            if given_loss:
+                with pytest.raises(ContractError, match=message):
+                    step(params, opt, 1e-2, loss)
+            else:
+                backward(loss)
+                with pytest.raises(ContractError, match=message):
+                    step(params, opt, 1e-2)
+
+    @pytest.mark.parametrize("levels,prior", [(2, "vamp"), (1, "vamp"),
+                                              (2, "weighted-vamp"),
+                                              (2, "sg")])
+    def test_updating_each_gradient_as_it_completes_gives_the_same_bits(
+            self, levels, prior):
+        x = np.random.default_rng(4).integers(0, 2, (6, 4)).astype(float)
+        states = []
+        for given_loss in (False, True):
+            model = tiny_model(levels, prior, seed=5)
+            params = model.parameters()
+            trainable = {k: p for k, p in params.items() if p.requires_grad}
+            opt = AdamState(trainable)
+            rng = np.random.default_rng(6)
+            for _ in range(3):
+                with Graph():
+                    loss = objective(x, model, 1.0, rng, mc_samples=2)
+                    if given_loss:
+                        step(trainable, opt, 1e-2, loss)
+                    else:
+                        backward(loss)
+                        step(trainable, opt, 1e-2)
+                        for p in trainable.values():
+                            p.zero_grad()
+                assert all(p.grad is None for p in trainable.values())
+            states.append({k: (p.data, opt.m[k], opt.v[k])
+                           for k, p in trainable.items()})
+        for k, arrays in states[0].items():
+            for got, want in zip(states[1][k], arrays):
+                assert_same_bits(got, want)
 
     def test_quadratic_bowl_descends_monotonically(self):
         # normalized gradients give constant-length steps, so start far
