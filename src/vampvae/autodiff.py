@@ -50,6 +50,15 @@ would, so the bytes do not depend on the thread that computed them, and
 it passes each leaf to the graph's `on_final` callback, when one is set,
 once its gradient is complete (`training.step` applies Adam there).
 
+The same helper also takes half of a large forward kernel of a pass that
+the main thread runs without recording a graph, such as evaluation's, when
+it is idle (`_beside`):
+`gated_dense` hands it the gate's product, and `logsumexp` over the rows
+of a matrix and the blocked densities of `distributions` the second half
+of their rows. Every op stays on the calling thread, which waits for the
+half before it finishes the op; the helper runs numpy calls only. No product is split, and each row is computed
+by the same calls as inline, so the bytes do not depend on the split.
+
 Broadcasting is deliberately narrow: two operands are compatible when their
 shapes are equal or one shape is a trailing suffix of the other (the smaller
 operand is repeated over the leading batch dimensions). Python scalars are
@@ -167,33 +176,63 @@ def recording() -> bool:
 class _Helper:
     """The package's one helper thread: it runs the calls submitted to it
     one at a time, in order, and reports each through a `Future`. It is a
-    daemon thread, started on first use (and again in a forked child), and
-    idle between calls; no option governs it."""
+    daemon thread, started on first use, and idle between calls; no option
+    governs it. Two kinds of call reach it: the branch replays of
+    `backward`, which queue, and the forward kernels' second halves, which
+    `_beside` starts only on an idle helper, so a kernel never waits behind
+    a replay. A forked child starts from a fresh helper: the parent's thread
+    does not exist there, and a call it had pending would hold the helper
+    busy for good."""
 
     def __init__(self):
+        self._reset()
+        if hasattr(os, "register_at_fork"):
+            os.register_at_fork(after_in_child=self._reset)
+
+    def _reset(self) -> None:
         self._calls = queue.SimpleQueue()
         self._thread: threading.Thread | None = None
         self._lock = threading.Lock()
+        self._pending = 0  # calls submitted and not yet finished
 
-    def submit(self, fn: Callable[[], object]) -> futures.Future:
-        task = futures.Future()
+    def submit(self, fn: Callable[[], object],
+               if_idle: bool = False) -> futures.Future | None:
+        """Queue `fn`; with `if_idle`, only when no call is pending, else
+        return None. Code running on the helper is inside a pending call, so
+        it never hands work to itself."""
         with self._lock:
+            if if_idle and self._pending:
+                return None
             if self._thread is None or not self._thread.is_alive():
                 self._thread = threading.Thread(
                     target=self._serve, name="vampvae-helper", daemon=True)
                 self._thread.start()
+            self._pending += 1
+        task = futures.Future()
         self._calls.put((task, fn))
         return task
+
+    def _finished(self) -> None:
+        # before the waiter is woken, so that its next call finds the helper
+        # idle
+        with self._lock:
+            self._pending -= 1
 
     def _serve(self) -> None:
         while True:
             task, fn = self._calls.get()
-            if task.set_running_or_notify_cancel():
+            if not task.set_running_or_notify_cancel():
+                self._finished()
+            else:
                 try:
-                    task.set_result(fn())
+                    result = fn()
                 except BaseException as exc:  # reported to the waiter
+                    self._finished()
                     task.set_exception(exc)
-            task = fn = None
+                else:
+                    self._finished()
+                    task.set_result(result)
+            task = fn = result = None
 
 
 _helper = _Helper()
@@ -203,6 +242,60 @@ def _usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+# Work below which a kernel keeps both halves on the calling thread, counted
+# in elementwise passes over one float64 (about 0.7 ns each on one core). A
+# round trip to an idle helper takes about 25 us, but the halves' data also
+# crosses between the cores' caches. A kernel alone measured faster split
+# from about a million passes in the helper's half, but with that floor a
+# desk run's validation (150 rows, hidden 300) split its layers, and the
+# training steps after it measured about 8% slower (cli-desk-sg); at this
+# floor the layers of a 500-row IS chunk split and a 150-row batch does not.
+BESIDE_MIN_WORK = 8_000_000
+
+
+def _beside(fn: Callable[[], object], work: int) -> futures.Future | None:
+    """Start `fn` on the helper thread and return its future, when the work
+    is at least BESIDE_MIN_WORK, the caller is the main thread and records
+    no graph, the process may use more than one CPU and the helper is idle;
+    else None, and the caller runs `fn` itself. `fn` runs numpy kernels
+    only: no op, span or tape node is ever made on the helper. A recorded
+    pass keeps its kernels whole: its backward, which reads what the helper
+    wrote, measured slower by what the split saved. Evaluation's worker
+    threads keep theirs whole too: they already occupy the cores, and two
+    of them with the helper beside measured about 8% fewer rows/s."""
+    if (work < BESIDE_MIN_WORK or recording()
+            or threading.current_thread() is not threading.main_thread()
+            or _usable_cpus() < 2):
+        return None
+    return _helper.submit(fn, if_idle=True)
+
+
+def _in_two(first: Callable[[], object], second: Callable[[], object],
+            work: int) -> tuple[object, object]:
+    """(first(), second()): `second` on the helper while `first` runs on the
+    calling thread when `_beside` starts it, else one after the other. An
+    error in either half, or an interrupt, is raised only once the helper's
+    half has finished, the caller's first, so no half outlives the call."""
+    task = _beside(second, work)
+    if task is None:
+        return first(), second()
+    try:
+        return first(), task.result()
+    except BaseException:
+        futures.wait([task])
+        raise
+
+
+def _split_rows(run: Callable[[int, int], None], n: int, block: int,
+                work_per_row: int) -> None:
+    """run(lo, hi) over rows [0, n): the first half of its blocks of
+    `block` rows on the calling thread and the rest, through `_in_two`, on
+    the helper."""
+    split = min(n, (-(-n // block) + 1) // 2 * block)
+    _in_two(lambda: run(0, split), lambda: run(split, n),
+            (n - split) * work_per_row)
 
 
 class Branch:
@@ -530,9 +623,7 @@ def neg(a) -> Tensor:
     return apply_op("neg", -a.data, (a,), lambda g: (-g,))
 
 
-def _affine_values(tag: str, x: Tensor, w: Tensor,
-                   b: Tensor | None) -> Array:
-    """x @ w, plus an (N,) bias b unless it is None, in the product."""
+def _check_affine(tag: str, x: Tensor, w: Tensor, b: Tensor | None) -> None:
     if x.ndim != 2 or w.ndim != 2:
         raise DimensionError(f"'{tag}': operands must be 2-D, got "
                              f"{x.shape} and {w.shape}")
@@ -542,6 +633,11 @@ def _affine_values(tag: str, x: Tensor, w: Tensor,
     if b is not None and b.shape != (w.shape[1],):
         raise DimensionError(f"'{tag}': bias {b.shape} does not match "
                              f"{w.shape[1]} outputs")
+
+
+def _affine_values(x: Tensor, w: Tensor, b: Tensor | None) -> Array:
+    """x @ w, plus an (N,) bias b unless it is None, in the product; the
+    shapes are checked by `_check_affine`."""
     out = x.data @ w.data
     if b is not None:
         np.add(out, b.data, out=out)
@@ -572,7 +668,8 @@ def matmul(a, b, bias=None) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     biased = bias is not None
     bias = _as_tensor(bias) if biased else None
-    out = _affine_values("matmul", a, b, bias)
+    _check_affine("matmul", a, b, bias)
+    out = _affine_values(a, b, bias)
     rule = _affine_grads(a, b, bias)
 
     def grad_fn(g):
@@ -694,15 +791,27 @@ def gated_dense(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor,
     """(x @ w1 + b1) * sigmoid(x @ w2 + b2) as one node.
 
     Both pre-activations pass the finiteness screen, so an overflow the
-    sigmoid would hide still raises `NumericError`. Inputs (b2, x, w2, b1,
-    x, w1): the chain's tape replays the gate before the linear half, so x
-    receives the gate's gradient first.
+    sigmoid would hide still raises `NumericError`, the linear half's
+    first. Inputs (b2, x, w2, b1, x, w1): the chain's tape replays the gate
+    before the linear half, so x receives the gate's gradient first. The
+    gate's product, screen and sigmoid may run on the helper thread while
+    the caller forms the linear half: two whole products, the same bytes.
     """
-    h = _affine_values("gated_dense", x, w1, b1)
-    s = _affine_values("gated_dense", x, w2, b2)
-    _ensure_finite("gated_dense", h)
-    _ensure_finite("gated_dense", s)
-    _sigmoid_values(s, out=s)
+    _check_affine("gated_dense", x, w1, b1)
+    _check_affine("gated_dense", x, w2, b2)
+
+    def linear_half():
+        h = _affine_values(x, w1, b1)
+        _ensure_finite("gated_dense", h)
+        return h
+
+    def gate_half():
+        s = _affine_values(x, w2, b2)
+        _ensure_finite("gated_dense", s)
+        return _sigmoid_values(s, out=s)
+
+    # a multiply-add of a one-thread product costs about a quarter pass
+    h, s = _in_two(linear_half, gate_half, x.size * w2.shape[1] // 4)
     gate = _affine_grads(x, w2, b2)
     linear = _affine_grads(x, w1, b1)
 
@@ -766,13 +875,21 @@ def logsumexp(a, axis=None) -> Tensor:
     a = _as_tensor(a)
     axis = _norm_axis("logsumexp", axis, a.ndim)
     x = a.data
-    m = x.max(axis=axis, keepdims=True)
-    shifted_exp = np.exp(x - m)
+    if axis == 1 and x.ndim == 2:
+        # the rows of a matrix, in two ranges when the helper takes one
+        n = x.shape[0]
+        m, shifted_exp, s = np.empty((n, 1)), np.empty_like(x), np.empty(n)
+        # max, shift, exp and sum, and a sort worth about 16 more passes
+        _split_rows(lambda lo, hi: _lse_rows(x, m, shifted_exp, s, lo, hi),
+                    n, 1, x.shape[1] * 20)
+    else:
+        m = x.max(axis=axis, keepdims=True)
+        shifted_exp = np.exp(x - m)
+        s = np.sort(shifted_exp.reshape(-1)).sum() if axis is None \
+            else np.sort(shifted_exp, axis=axis).sum(axis=axis)
     if axis is None:
-        s = np.sort(shifted_exp.reshape(-1)).sum()
         out = np.asarray(m.reshape(()) + np.log(s))
     else:
-        s = np.sort(shifted_exp, axis=axis).sum(axis=axis)
         out = np.squeeze(m, axis=axis) + np.log(s)
 
     def grad_fn(g):
@@ -783,6 +900,17 @@ def logsumexp(a, axis=None) -> Tensor:
         return (gw,)
 
     return apply_op("logsumexp", out, (a,), grad_fn)
+
+
+def _lse_rows(x: Array, m: Array, e: Array, s: Array, lo: int,
+              hi: int) -> None:
+    """logsumexp's max, shift, exp and sorted sum along axis 1 for rows
+    [lo, hi) of x, into the same rows of m, e and s."""
+    xs, es = x[lo:hi], e[lo:hi]
+    np.max(xs, axis=1, keepdims=True, out=m[lo:hi])
+    np.subtract(xs, m[lo:hi], out=es)
+    np.exp(es, out=es)
+    np.sum(np.sort(es, axis=1), axis=1, out=s[lo:hi])
 
 
 # -- shape ops ------------------------------------------------------------

@@ -189,15 +189,20 @@ def log_normal_diag_pairwise(z: Tensor, p: DiagGaussian) -> Tensor:
     b, (k, m) = zd.shape[0], mu.shape
     rows = pairwise_block_rows(k, m)
     precision = np.exp(-lv)                    # (K, M)
-    buf = np.empty((min(rows, b), k, m))
+    block = (min(rows, b), k, m)
     out = np.empty((b, k))
-    for lo in range(0, b, rows):
-        diff = _pairwise_diff(zd, mu, lo, buf)
-        terms = _gaussian_terms(diff, lv, precision, diff)
-        np.sum(terms, axis=-1, out=out[lo:lo + terms.shape[0]])
-    out *= -0.5
 
-    block = buf.shape
+    def blocks(lo, hi):
+        # rows [lo, hi) in a buffer of their own
+        buf = np.empty(block)
+        for start in range(lo, hi, rows):
+            diff = _pairwise_diff(zd, mu, start, buf)
+            terms = _gaussian_terms(diff, lv, precision, diff)
+            np.sum(terms, axis=-1, out=out[start:start + terms.shape[0]])
+        np.multiply(out[lo:hi], -0.5, out=out[lo:hi])
+
+    # six passes per element: subtract, square, scale, two adds, sum
+    ad._split_rows(blocks, b, rows, k * m * 6)
 
     def grad_fn(g):
         g_z = np.empty_like(zd)
@@ -266,17 +271,22 @@ def log_bernoulli(x: Tensor, logits: Tensor) -> Tensor:
     xr, lr = x.data.reshape(-1, shape[-1]), logits.data.reshape(-1, shape[-1])
     n, d = lr.shape
     rows = bernoulli_block_rows(d)
-    soft, prod = np.empty((min(rows, n), d)), np.empty((min(rows, n), d))
+    block = (min(rows, n), d)
     out = np.empty(n)
-    for lo in range(0, n, rows):
-        hi = min(lo + rows, n)
-        sp, xl = soft[:hi - lo], prod[:hi - lo]
-        ad._softplus_values(lr[lo:hi], out=sp, work=xl)
-        np.multiply(xr[lo:hi], lr[lo:hi], out=xl)
-        np.subtract(xl, sp, out=xl)
-        np.sum(xl, axis=-1, out=out[lo:hi])
 
-    block = soft.shape
+    def blocks(first, last):
+        # rows [first, last) in buffers of their own
+        soft, prod = np.empty(block), np.empty(block)
+        for lo in range(first, last, rows):
+            hi = min(lo + rows, n)
+            sp, xl = soft[:hi - lo], prod[:hi - lo]
+            ad._softplus_values(lr[lo:hi], out=sp, work=xl)
+            np.multiply(xr[lo:hi], lr[lo:hi], out=xl)
+            np.subtract(xl, sp, out=xl)
+            np.sum(xl, axis=-1, out=out[lo:hi])
+
+    # nine passes per element: six of softplus, multiply, subtract, sum
+    ad._split_rows(blocks, n, rows, d * 9)
 
     def grad_fn(g):
         # recorded only when the logits require grad
