@@ -50,14 +50,14 @@ would, so the bytes do not depend on the thread that computed them, and
 it passes each leaf to the graph's `on_final` callback, when one is set,
 once its gradient is complete (`training.step` applies Adam there).
 
-The same helper also takes half of a large forward kernel of a pass that
-the main thread runs without recording a graph, such as evaluation's, when
-it is idle (`_beside`):
-`gated_dense` hands it the gate's product, and `logsumexp` over the rows
-of a matrix and the blocked densities of `distributions` the second half
-of their rows. Every op stays on the calling thread, which waits for the
-half before it finishes the op; the helper runs numpy calls only. No product is split, and each row is computed
-by the same calls as inline, so the bytes do not depend on the split.
+The same helper also takes half of a large forward kernel inside a
+`splitting` block, which evaluation opens around its importance-sampled
+rows, when it is idle (`_beside`): `gated_dense` hands it the gate's
+product and the pairwise Gaussian density of `distributions` the second
+half of its row blocks. Every op stays on the calling thread, which waits
+for the half before it finishes the op; the helper runs numpy calls only.
+No product is split, and each row is computed by the same calls as
+inline, so the bytes do not depend on the split.
 
 Broadcasting is deliberately narrow: two operands are compatible when their
 shapes are equal or one shape is a trailing suffix of the other (the smaller
@@ -67,6 +67,7 @@ always accepted. Nothing wider is supported.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import queue
 import threading
@@ -246,41 +247,47 @@ def _usable_cpus() -> int:
 
 # Work below which a kernel keeps both halves on the calling thread, counted
 # in elementwise passes over one float64 (about 0.7 ns each on one core). A
-# round trip to an idle helper takes about 25 us, but the halves' data also
-# crosses between the cores' caches. A kernel alone measured faster split
-# from about a million passes in the helper's half, but with that floor a
-# desk run's validation (150 rows, hidden 300) split its layers, and the
-# training steps after it measured about 8% slower (cli-desk-sg); at this
-# floor the layers of a 500-row IS chunk split and a 150-row batch does not.
+# round trip to an idle helper takes about 25 us, and the halves' data also
+# crosses between the cores' caches: a gated layer of 100 rows measured
+# 0.42 ms inline and 0.46 split at 40 -> 300, 1.49 and 0.99 at 300 -> 300.
+# In a 500-row IS chunk this floor splits the pairwise density and the
+# layers with 300 or more inputs, and keeps the 40 -> 300 layers whole.
 BESIDE_MIN_WORK = 8_000_000
+
+
+@contextlib.contextmanager
+def splitting():
+    """A block in which the calling thread's large forward kernels may hand
+    half their work to the helper thread (see `_beside`). Only
+    `evaluation.per_example_log_likelihood` opens one, on its calling
+    thread: a training step's backward, and the steps after a split
+    validation pass, measured slower by what the split saved, and
+    evaluation's worker threads already occupy the cores."""
+    outer = getattr(_state, "splitting", False)
+    _state.splitting = True
+    try:
+        yield
+    finally:
+        _state.splitting = outer
 
 
 def _beside(fn: Callable[[], object], work: int) -> futures.Future | None:
     """Start `fn` on the helper thread and return its future, when the work
-    is at least BESIDE_MIN_WORK, the caller is the main thread and records
-    no graph, the process may use more than one CPU and the helper is idle;
-    else None, and the caller runs `fn` itself. `fn` runs numpy kernels
-    only: no op, span or tape node is ever made on the helper. A recorded
-    pass keeps its kernels whole: its backward, which reads what the helper
-    wrote, measured slower by what the split saved. Evaluation's worker
-    threads keep theirs whole too: they already occupy the cores, and two
-    of them with the helper beside measured about 8% fewer rows/s."""
-    if (work < BESIDE_MIN_WORK or recording()
-            or threading.current_thread() is not threading.main_thread()
+    is at least BESIDE_MIN_WORK, the caller is in a `splitting` block, the
+    process may use more than one CPU and the helper is idle; else None,
+    and the caller runs `fn` itself. `fn` runs numpy kernels only: no op,
+    span or tape node is ever made on the helper."""
+    if (work < BESIDE_MIN_WORK or not getattr(_state, "splitting", False)
             or _usable_cpus() < 2):
         return None
     return _helper.submit(fn, if_idle=True)
 
 
-def _in_two(first: Callable[[], object], second: Callable[[], object],
-            work: int) -> tuple[object, object]:
-    """(first(), second()): `second` on the helper while `first` runs on the
-    calling thread when `_beside` starts it, else one after the other. An
-    error in either half, or an interrupt, is raised only once the helper's
-    half has finished, the caller's first, so no half outlives the call."""
-    task = _beside(second, work)
-    if task is None:
-        return first(), second()
+def _joined(first: Callable[[], object],
+            task: futures.Future) -> tuple[object, object]:
+    """(first(), task's result), with `first` run on the calling thread. An
+    error in either, or an interrupt, is raised only once `task` has
+    finished, the caller's first, so no half outlives the call."""
     try:
         return first(), task.result()
     except BaseException:
@@ -288,14 +295,27 @@ def _in_two(first: Callable[[], object], second: Callable[[], object],
         raise
 
 
+def _in_two(first: Callable[[], object], second: Callable[[], object],
+            work: int) -> tuple[object, object]:
+    """(first(), second()): `second` on the helper while `first` runs on the
+    calling thread when `_beside` starts it, else one after the other."""
+    task = _beside(second, work)
+    if task is None:
+        return first(), second()
+    return _joined(first, task)
+
+
 def _split_rows(run: Callable[[int, int], None], n: int, block: int,
                 work_per_row: int) -> None:
-    """run(lo, hi) over rows [0, n): the first half of its blocks of
-    `block` rows on the calling thread and the rest, through `_in_two`, on
-    the helper."""
+    """run(lo, hi) over rows [0, n): the second half of its blocks of
+    `block` rows on the helper, when `_beside` starts it, while the first
+    half runs on the calling thread; else run(0, n) in one call."""
     split = min(n, (-(-n // block) + 1) // 2 * block)
-    _in_two(lambda: run(0, split), lambda: run(split, n),
-            (n - split) * work_per_row)
+    task = _beside(lambda: run(split, n), (n - split) * work_per_row)
+    if task is None:
+        run(0, n)
+    else:
+        _joined(lambda: run(0, split), task)
 
 
 class Branch:
@@ -875,21 +895,13 @@ def logsumexp(a, axis=None) -> Tensor:
     a = _as_tensor(a)
     axis = _norm_axis("logsumexp", axis, a.ndim)
     x = a.data
-    if axis == 1 and x.ndim == 2:
-        # the rows of a matrix, in two ranges when the helper takes one
-        n = x.shape[0]
-        m, shifted_exp, s = np.empty((n, 1)), np.empty_like(x), np.empty(n)
-        # max, shift, exp and sum, and a sort worth about 16 more passes
-        _split_rows(lambda lo, hi: _lse_rows(x, m, shifted_exp, s, lo, hi),
-                    n, 1, x.shape[1] * 20)
-    else:
-        m = x.max(axis=axis, keepdims=True)
-        shifted_exp = np.exp(x - m)
-        s = np.sort(shifted_exp.reshape(-1)).sum() if axis is None \
-            else np.sort(shifted_exp, axis=axis).sum(axis=axis)
+    m = x.max(axis=axis, keepdims=True)
+    shifted_exp = np.exp(x - m)
     if axis is None:
+        s = np.sort(shifted_exp.reshape(-1)).sum()
         out = np.asarray(m.reshape(()) + np.log(s))
     else:
+        s = np.sort(shifted_exp, axis=axis).sum(axis=axis)
         out = np.squeeze(m, axis=axis) + np.log(s)
 
     def grad_fn(g):
@@ -900,17 +912,6 @@ def logsumexp(a, axis=None) -> Tensor:
         return (gw,)
 
     return apply_op("logsumexp", out, (a,), grad_fn)
-
-
-def _lse_rows(x: Array, m: Array, e: Array, s: Array, lo: int,
-              hi: int) -> None:
-    """logsumexp's max, shift, exp and sorted sum along axis 1 for rows
-    [lo, hi) of x, into the same rows of m, e and s."""
-    xs, es = x[lo:hi], e[lo:hi]
-    np.max(xs, axis=1, keepdims=True, out=m[lo:hi])
-    np.subtract(xs, m[lo:hi], out=es)
-    np.exp(es, out=es)
-    np.sum(np.sort(es, axis=1), axis=1, out=s[lo:hi])
 
 
 # -- shape ops ------------------------------------------------------------

@@ -271,22 +271,17 @@ def log_bernoulli(x: Tensor, logits: Tensor) -> Tensor:
     xr, lr = x.data.reshape(-1, shape[-1]), logits.data.reshape(-1, shape[-1])
     n, d = lr.shape
     rows = bernoulli_block_rows(d)
-    block = (min(rows, n), d)
+    soft, prod = np.empty((min(rows, n), d)), np.empty((min(rows, n), d))
     out = np.empty(n)
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        sp, xl = soft[:hi - lo], prod[:hi - lo]
+        ad._softplus_values(lr[lo:hi], out=sp, work=xl)
+        np.multiply(xr[lo:hi], lr[lo:hi], out=xl)
+        np.subtract(xl, sp, out=xl)
+        np.sum(xl, axis=-1, out=out[lo:hi])
 
-    def blocks(first, last):
-        # rows [first, last) in buffers of their own
-        soft, prod = np.empty(block), np.empty(block)
-        for lo in range(first, last, rows):
-            hi = min(lo + rows, n)
-            sp, xl = soft[:hi - lo], prod[:hi - lo]
-            ad._softplus_values(lr[lo:hi], out=sp, work=xl)
-            np.multiply(xr[lo:hi], lr[lo:hi], out=xl)
-            np.subtract(xl, sp, out=xl)
-            np.sum(xl, axis=-1, out=out[lo:hi])
-
-    # nine passes per element: six of softplus, multiply, subtract, sum
-    ad._split_rows(blocks, n, rows, d * 9)
+    block = soft.shape
 
     def grad_fn(g):
         # recorded only when the logits require grad

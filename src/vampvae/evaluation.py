@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor
+from .autodiff import Tensor, splitting
 from .errors import ContractError
 from .models import Vae, with_frozen_prior
 
@@ -66,16 +66,20 @@ def per_example_log_likelihood(model, data: np.ndarray, s: int, seed: int,
     if data.ndim != 2 or data.shape[0] == 0:
         raise ContractError("need a non-empty (N, D) matrix")
     seqs = np.random.SeedSequence(seed).spawn(data.shape[0])
-    frozen_model = with_frozen_prior(model)
+    # the large kernels of the calling thread's passes may use the helper
+    # thread; worker threads keep theirs whole
+    with splitting():
+        frozen_model = with_frozen_prior(model)
 
-    def one(i: int) -> float:
-        return is_log_likelihood(data[i], frozen_model, s,
-                                 np.random.default_rng(seqs[i]), chunk_size)
+        def one(i: int) -> float:
+            return is_log_likelihood(data[i], frozen_model, s,
+                                     np.random.default_rng(seqs[i]),
+                                     chunk_size)
 
-    if workers <= 1:
-        return np.array([one(i) for i in range(data.shape[0])])
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return np.array(list(pool.map(one, range(data.shape[0]))))
+        if workers <= 1:
+            return np.array([one(i) for i in range(data.shape[0])])
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return np.array(list(pool.map(one, range(data.shape[0]))))
 
 
 def bits_per_dim(mean_ll_nats: float, d: int) -> float:

@@ -1,8 +1,8 @@
 """Tests of the forward kernels that hand half their work to the helper
-thread (`autodiff._beside`) in a pass that records no graph: they keep the
-bits of the inline path, make every op, span and tape node on the calling
-thread, raise errors as the inline path does, and leave the helper usable
-after an error or a fork."""
+thread (`autodiff._beside`) inside an `autodiff.splitting` block, which
+evaluation opens: they keep the bits of the inline path, make every op,
+span and tape node on the calling thread, raise errors as the inline path
+does, and leave the helper usable after an error or a fork."""
 
 import os
 import signal
@@ -19,7 +19,6 @@ from helpers import (
     arriving_grads,
     assert_same_bits,
     assert_same_run,
-    unfused_bernoulli,
     unfused_gated_dense,
 )
 from test_distributions import _unblocked_pairwise
@@ -62,6 +61,13 @@ def handoffs(monkeypatch):
 
 
 @pytest.fixture
+def split():
+    """The test runs inside a `splitting` block, as evaluation does."""
+    with ad.splitting():
+        yield
+
+
+@pytest.fixture
 def no_floor(monkeypatch):
     """Any work that is not empty goes to the helper when it can."""
     monkeypatch.setattr(ad, "BESIDE_MIN_WORK", 1)
@@ -90,27 +96,12 @@ class TestSameBits:
             got = (out.data, *out.node.grad_fn(g))
         for a, w in zip(got, _unblocked_pairwise(z, mean, log_var, g)):
             assert_same_bits(a, w)
-        assert handoffs == []  # a recorded pass keeps its kernels whole
-        plain = dist.log_normal_diag_pairwise(
-            Tensor(z), DiagGaussian(Tensor(mean), Tensor(log_var)))
+        assert handoffs == []  # outside a splitting block
+        with ad.splitting():
+            plain = dist.log_normal_diag_pairwise(
+                Tensor(z), DiagGaussian(Tensor(mean), Tensor(log_var)))
         assert_same_bits(plain.data, got[0])
         assert len(handoffs) == (1 if cpus == 2 and b > rows else 0)
-
-    @pytest.mark.parametrize("shape", [(500, 500), (7, 30)])
-    def test_logsumexp_rows(self, cpus, handoffs, no_floor, shape):
-        rng = np.random.default_rng(11)
-        x = rng.standard_normal(shape) * 20.0
-        g = rng.standard_normal(shape[0])
-        m = x.max(axis=1, keepdims=True)
-        e = np.exp(x - m)
-        s = np.sort(e, axis=1).sum(axis=1)
-        want = (np.squeeze(m, axis=1) + np.log(s),
-                [np.expand_dims(g, 1) * e / np.expand_dims(s, 1)])
-        assert_same_run(arriving_grads(lambda t: t.logsumexp(axis=1), (x,),
-                                       g), want)
-        assert handoffs == []
-        assert_same_bits(Tensor(x).logsumexp(axis=1).data, want[0])
-        assert len(handoffs) == (1 if cpus == 2 else 0)
 
     @pytest.mark.parametrize("d_in", [300, 40])
     def test_gated_dense(self, cpus, handoffs, no_floor, d_in):
@@ -125,7 +116,8 @@ class TestSameBits:
                      for fn in (ad.gated_dense, unfused_gated_dense))
         assert_same_run(got, want)
         assert handoffs == []
-        plain = ad.gated_dense(*(Tensor(a) for a in arrays))
+        with ad.splitting():
+            plain = ad.gated_dense(*(Tensor(a) for a in arrays))
         assert_same_bits(plain.data, got[0])
         assert len(handoffs) == (1 if cpus == 2 else 0)
 
@@ -141,56 +133,68 @@ class TestSameBits:
                   for _ in range(2))
         b1, b2 = (Tensor(rng.standard_normal(300)) for _ in range(2))
         assert (x.size * 300 // 4 >= ad.BESIDE_MIN_WORK) == split
-        ad.gated_dense(x, w1, b1, w2, b2)
+        with ad.splitting():
+            ad.gated_dense(x, w1, b1, w2, b2)
         assert len(handoffs) == (1 if cpus == 2 and split else 0)
-
-    def test_log_bernoulli_over_many_blocks(self, cpus, handoffs, no_floor):
-        d = 784
-        b = 25 * dist.bernoulli_block_rows(d) + 3
-        rng = np.random.default_rng(5)
-        x = (rng.random((b, d)) < 0.3).astype(float)
-        logits = rng.standard_normal((b, d)) * 4.0
-        g = rng.standard_normal(b)
-        got, want = (arriving_grads(fn, (x, logits), g, (False, True))
-                     for fn in (dist.log_bernoulli, unfused_bernoulli))
-        assert_same_run(got, want)
-        assert handoffs == []
-        plain = dist.log_bernoulli(Tensor(x), Tensor(logits))
-        assert_same_bits(plain.data, got[0])
-        assert len(handoffs) == (1 if cpus == 2 else 0)
 
     def test_a_kernel_started_on_a_busy_helper_runs_inline(
             self, handoffs, no_floor, monkeypatch):
         monkeypatch.setattr(ad, "_usable_cpus", lambda: 2)
+        rng = np.random.default_rng(1)
+        arrays = [Tensor(rng.standard_normal(shape)) for shape in
+                  ((50, 30), (30, 20), (20,), (30, 20), (20,))]
         release = threading.Event()
         blocker = ad._helper.submit(release.wait)
         try:
-            rng = np.random.default_rng(1)
-            x = rng.standard_normal((500, 500))
-            Tensor(x).logsumexp(axis=1)
+            with ad.splitting():
+                ad.gated_dense(*arrays)
             assert handoffs == []
         finally:
             release.set()
             blocker.result(timeout=10)
-        Tensor(x).logsumexp(axis=1)
+        with ad.splitting():
+            ad.gated_dense(*arrays)
         assert len(handoffs) == 1
 
-    def test_only_the_main_thread_hands_work_to_the_helper(self,
-                                                           monkeypatch):
+    def test_only_a_thread_in_a_splitting_block_hands_work_over(
+            self, monkeypatch):
         monkeypatch.setattr(ad, "_usable_cpus", lambda: 2)
-        inner = ad._helper.submit(
-            lambda: ad._beside(lambda: None, ad.BESIDE_MIN_WORK)).result(10)
-        assert inner is None
-        other = []
-        thread = threading.Thread(target=lambda: other.append(
-            ad._beside(lambda: None, ad.BESIDE_MIN_WORK)))
-        thread.start()
-        thread.join(10)
-        assert not thread.is_alive() and other == [None]
+        assert ad._beside(lambda: None, ad.BESIDE_MIN_WORK) is None
+        with ad.splitting():
+            with ad.splitting():
+                pass
+            # the helper and other threads are outside the caller's block
+            inner = ad._helper.submit(
+                lambda: ad._beside(lambda: None, ad.BESIDE_MIN_WORK))
+            assert inner.result(10) is None
+            other = []
+            thread = threading.Thread(target=lambda: other.append(
+                ad._beside(lambda: None, ad.BESIDE_MIN_WORK)))
+            thread.start()
+            thread.join(10)
+            assert not thread.is_alive() and other == [None]
+            # the inner block left the outer one open
+            assert ad._beside(lambda: 3, ad.BESIDE_MIN_WORK).result(10) == 3
+        assert ad._beside(lambda: None, ad.BESIDE_MIN_WORK) is None
+
+    def test_training_and_validation_keep_their_kernels_whole(
+            self, handoffs, no_floor, monkeypatch):
+        # a recorded step's backward, and the steps after a split
+        # validation, measured slower by what the split saved
+        monkeypatch.setattr(ad, "_usable_cpus", lambda: 2)
+        model = tiny_model(2, "vamp", seed=4)
+        data = np.random.default_rng(6).integers(0, 2, (40, 4)).astype(float)
+        config = training.TrainConfig(max_epochs=2, batch_size=10,
+                                      warmup_epochs=0, seed=1)
+        training.fit(data[:30], data[30:], model, config, "dynamic")
+        assert handoffs == []
+        per_example_log_likelihood(model, data[:2], 30, seed=2,
+                                   chunk_size=12)
+        assert handoffs
 
     def test_evaluation_workers_give_the_same_bits(self, cpus, handoffs,
                                                    monkeypatch):
-        # one worker runs on the main thread and splits; worker threads
+        # one worker runs on the calling thread and splits; worker threads
         # keep their kernels whole
         model = tiny_model(2, "vamp", seed=4)
         data = np.random.default_rng(6).integers(0, 2, (6, 4)).astype(float)
@@ -262,9 +266,10 @@ class TestTracerContract:
             loss = training.objective(x, model, 1.0, rng)
             training.step(params, opt, 1e-3, loss)
         assert handoffs == []  # a recorded pass keeps its kernels whole
-        frozen = models.with_frozen_prior(model)
-        frozen.log_importance_weight(
-            frozen.encode_x(np.repeat(x[:1], 500, axis=0)), rng)
+        with ad.splitting():
+            frozen = models.with_frozen_prior(model)
+            frozen.log_importance_weight(
+                frozen.encode_x(np.repeat(x[:1], 500, axis=0)), rng)
         kinds = {kind for kind, _ in seen}
         assert {"apply_op", "gated_dense", "log_normal_diag_pairwise",
                 "logsumexp", "log_bernoulli", "objective", "step",
@@ -273,6 +278,7 @@ class TestTracerContract:
         assert bool(handoffs) == (cpus == 2)
 
 
+@pytest.mark.usefixtures("split")
 class TestErrors:
     @pytest.mark.parametrize("bad", ["linear", "gate", "both"])
     def test_a_non_finite_pre_activation_raises_as_inline(
@@ -331,7 +337,8 @@ class TestErrors:
         assert len(handoffs) == before + (1 if cpus == 2 else 0)
 
 
-def test_a_child_forked_while_the_helper_is_busy_can_use_it(monkeypatch):
+def test_a_child_forked_while_the_helper_is_busy_can_use_it(split,
+                                                          monkeypatch):
     monkeypatch.setattr(ad, "_usable_cpus", lambda: 2)
     release = threading.Event()
     busy = ad._beside(release.wait, ad.BESIDE_MIN_WORK)
