@@ -50,14 +50,16 @@ would, so the bytes do not depend on the thread that computed them, and
 it passes each leaf to the graph's `on_final` callback, when one is set,
 once its gradient is complete (`training.step` applies Adam there).
 
-The same helper also takes half of a large forward kernel inside a
-`splitting` block, which evaluation opens around its importance-sampled
-rows, when it is idle (`_beside`): `gated_dense` hands it the gate's
-product and the pairwise Gaussian density of `distributions` the second
-half of its row blocks. Every op stays on the calling thread, which waits
-for the half before it finishes the op; the helper runs numpy calls only.
-No product is split, and each row is computed by the same calls as
-inline, so the bytes do not depend on the split.
+The same helper also shares a large forward kernel inside a `splitting`
+block, which evaluation opens around its importance-sampled rows, when it
+is idle (`_beside`). The kernel's units are claimed one at a time by the
+calling thread and the helper (`_shared`): the two products of
+`gated_dense`, and the row blocks of the pairwise Gaussian density of
+`distributions`. The caller never waits for a unit the helper has not
+started, so a helper whose core is busy elsewhere costs at most the unit
+it holds. Every op stays on the calling thread; the helper runs numpy
+calls only. No product is split, and each row is computed by the same
+calls as inline, so the bytes do not depend on which thread ran a unit.
 
 Broadcasting is deliberately narrow: two operands are compatible when their
 shapes are equal or one shape is a trailing suffix of the other (the smaller
@@ -179,9 +181,10 @@ class _Helper:
     one at a time, in order, and reports each through a `Future`. It is a
     daemon thread, started on first use, and idle between calls; no option
     governs it. Two kinds of call reach it: the branch replays of
-    `backward`, which queue, and the forward kernels' second halves, which
-    `_beside` starts only on an idle helper, so a kernel never waits behind
-    a replay. A forked child starts from a fresh helper: the parent's thread
+    `backward`, which queue, and the forward kernels' shares (`_shared`),
+    which `_beside` starts only on an idle helper, so a kernel never waits
+    behind a replay. A call withdrawn before it starts no longer counts as
+    pending. A forked child starts from a fresh helper: the parent's thread
     does not exist there, and a call it had pending would hold the helper
     busy for good."""
 
@@ -213,6 +216,14 @@ class _Helper:
         self._calls.put((task, fn))
         return task
 
+    def withdraw(self, task: futures.Future) -> bool:
+        """Cancel `task` unless the helper has started it; True if it did."""
+        with self._lock:
+            if not task.cancel():
+                return False
+            self._pending -= 1
+            return True
+
     def _finished(self) -> None:
         # before the waiter is woken, so that its next call finds the helper
         # idle
@@ -222,9 +233,7 @@ class _Helper:
     def _serve(self) -> None:
         while True:
             task, fn = self._calls.get()
-            if not task.set_running_or_notify_cancel():
-                self._finished()
-            else:
+            if task.set_running_or_notify_cancel():  # else withdrawn
                 try:
                     result = fn()
                 except BaseException as exc:  # reported to the waiter
@@ -257,8 +266,8 @@ BESIDE_MIN_WORK = 8_000_000
 
 @contextlib.contextmanager
 def splitting():
-    """A block in which the calling thread's large forward kernels may hand
-    half their work to the helper thread (see `_beside`). Only
+    """A block in which the calling thread's large forward kernels may
+    share their work with the helper thread (see `_shared`). Only
     `evaluation.per_example_log_likelihood` opens one, on its calling
     thread: a training step's backward, and the steps after a split
     validation pass, measured slower by what the split saved, and
@@ -274,48 +283,68 @@ def splitting():
 def _beside(fn: Callable[[], object], work: int) -> futures.Future | None:
     """Start `fn` on the helper thread and return its future, when the work
     is at least BESIDE_MIN_WORK, the caller is in a `splitting` block, the
-    process may use more than one CPU and the helper is idle; else None,
-    and the caller runs `fn` itself. `fn` runs numpy kernels only: no op,
-    span or tape node is ever made on the helper."""
+    process may use more than one CPU and the helper is idle; else None.
+    `fn` runs numpy kernels only: no op, span or tape node is ever made on
+    the helper."""
     if (work < BESIDE_MIN_WORK or not getattr(_state, "splitting", False)
             or _usable_cpus() < 2):
         return None
     return _helper.submit(fn, if_idle=True)
 
 
-def _joined(first: Callable[[], object],
-            task: futures.Future) -> tuple[object, object]:
-    """(first(), task's result), with `first` run on the calling thread. An
-    error in either, or an interrupt, is raised only once `task` has
-    finished, the caller's first, so no half outlives the call."""
+def _shared(run: Callable[[int, int], object], n: int,
+            work: int) -> list:
+    """[run(0, slot), ..., run(n - 1, slot)]: each unit runs once, on the
+    first thread to claim it, `slot` 0 on the calling thread and 1 on the
+    helper. The caller takes unit 0 and then claims units in order, and so
+    does the helper once it starts, when `_beside(.., work)` starts it; else
+    the caller runs every unit. The caller never waits for a unit the helper
+    has not started, so a helper that starts late, or runs slowly, costs at
+    most the unit it holds. After an error no unit is claimed, and the
+    caller raises its own error, else the helper's, once the helper has let
+    go of its unit."""
+    results: list = [None] * n
+    lock = threading.Lock()
+    unclaimed = 1  # the next unit; unit 0 is the caller's
+
+    def claim() -> int | None:
+        nonlocal unclaimed
+        with lock:
+            if unclaimed >= n:
+                return None
+            unclaimed += 1
+            return unclaimed - 1
+
+    def units(i: int | None, slot: int) -> None:
+        nonlocal unclaimed
+        try:
+            while i is not None:
+                results[i] = run(i, slot)
+                i = claim()
+        except BaseException:
+            with lock:
+                unclaimed = n
+            raise
+
+    task = _beside(lambda: units(claim(), 1), work) if n > 1 else None
+    if task is None:
+        return [run(i, 0) for i in range(n)]
     try:
-        return first(), task.result()
-    except BaseException:
-        futures.wait([task])
-        raise
+        units(0, 0)
+    finally:
+        started = not _helper.withdraw(task)
+        if started:
+            futures.wait([task])
+    if started:
+        task.result()  # the helper's error, if it had one
+    return results
 
 
 def _in_two(first: Callable[[], object], second: Callable[[], object],
             work: int) -> tuple[object, object]:
-    """(first(), second()): `second` on the helper while `first` runs on the
-    calling thread when `_beside` starts it, else one after the other."""
-    task = _beside(second, work)
-    if task is None:
-        return first(), second()
-    return _joined(first, task)
-
-
-def _split_rows(run: Callable[[int, int], None], n: int, block: int,
-                work_per_row: int) -> None:
-    """run(lo, hi) over rows [0, n): the second half of its blocks of
-    `block` rows on the helper, when `_beside` starts it, while the first
-    half runs on the calling thread; else run(0, n) in one call."""
-    split = min(n, (-(-n // block) + 1) // 2 * block)
-    task = _beside(lambda: run(split, n), (n - split) * work_per_row)
-    if task is None:
-        run(0, n)
-    else:
-        _joined(lambda: run(0, split), task)
+    """(first(), second()) as the two units of `_shared`: `second` runs on
+    the helper when it claims it while `first` runs on the caller."""
+    return tuple(_shared(lambda i, _slot: (first, second)[i](), 2, work))
 
 
 class Branch:
@@ -410,7 +439,7 @@ class Branch:
 
     def _end(self) -> None:
         if self.task is not None:
-            self.task.cancel()
+            _helper.withdraw(self.task)
             futures.wait([self.task])
         self.graph._release()
 

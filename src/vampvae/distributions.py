@@ -179,6 +179,8 @@ def log_normal_diag_pairwise(z: Tensor, p: DiagGaussian) -> Tensor:
     in one reused (rows, K, M) buffer, in the operation order of the
     unblocked broadcast, so the bytes are those of the (B, K, M) form; the
     backward recomputes the differences per block instead of keeping them.
+    Inside a `splitting` block the helper thread may claim forward blocks
+    (`ad._shared`), in a buffer of its own.
     """
     if z.ndim != 2 or p.mean.ndim != 2:
         raise DimensionError("pairwise density expects (B, M) rows and "
@@ -191,18 +193,20 @@ def log_normal_diag_pairwise(z: Tensor, p: DiagGaussian) -> Tensor:
     precision = np.exp(-lv)                    # (K, M)
     block = (min(rows, b), k, m)
     out = np.empty((b, k))
+    bufs = [None, None]  # one block buffer per thread (see ad._shared)
 
-    def blocks(lo, hi):
-        # rows [lo, hi) in a buffer of their own
-        buf = np.empty(block)
-        for start in range(lo, hi, rows):
-            diff = _pairwise_diff(zd, mu, start, buf)
-            terms = _gaussian_terms(diff, lv, precision, diff)
-            np.sum(terms, axis=-1, out=out[start:start + terms.shape[0]])
-        np.multiply(out[lo:hi], -0.5, out=out[lo:hi])
+    def one_block(i, slot):
+        if bufs[slot] is None:
+            bufs[slot] = np.empty(block)
+        lo = i * rows
+        diff = _pairwise_diff(zd, mu, lo, bufs[slot])
+        terms = _gaussian_terms(diff, lv, precision, diff)
+        np.sum(terms, axis=-1, out=out[lo:lo + terms.shape[0]])
 
-    # six passes per element: subtract, square, scale, two adds, sum
-    ad._split_rows(blocks, b, rows, k * m * 6)
+    # the helper's half, at six passes per element: subtract, square,
+    # scale, two adds, sum
+    ad._shared(one_block, -(-b // rows), b // 2 * k * m * 6)
+    out *= -0.5
 
     def grad_fn(g):
         g_z = np.empty_like(zd)

@@ -1,5 +1,5 @@
-"""Tests of the forward kernels that hand half their work to the helper
-thread (`autodiff._beside`) inside an `autodiff.splitting` block, which
+"""Tests of the forward kernels that share their work with the helper
+thread (`autodiff._shared`) inside an `autodiff.splitting` block, which
 evaluation opens: they keep the bits of the inline path, make every op,
 span and tape node on the calling thread, raise errors as the inline path
 does, and leave the helper usable after an error or a fork."""
@@ -35,16 +35,16 @@ from vampvae.evaluation import per_example_log_likelihood
 
 @pytest.fixture(params=[1, 2], ids=["one-cpu", "two-cpus"])
 def cpus(request, monkeypatch):
-    """The test runs as on one usable CPU, where every kernel keeps both
-    halves on the calling thread, and as on two, where the helper takes
-    one half of each kernel above the work floor."""
+    """The test runs as on one usable CPU, where every kernel keeps all its
+    units on the calling thread, and as on two, where the helper may claim
+    units of each kernel above the work floor."""
     monkeypatch.setattr(ad, "_usable_cpus", lambda: request.param)
     return request.param
 
 
 @pytest.fixture
 def handoffs(monkeypatch):
-    """The futures of the kernel halves `_beside` started on the helper,
+    """The futures of the kernel shares `_beside` started on the helper,
     each with the thread that started it as `caller`."""
     started = []
     real = ad._beside
@@ -213,6 +213,76 @@ class TestSameBits:
                     {threading.main_thread()} if cpus == 2 else set())
         finally:
             sys.setswitchinterval(interval)
+
+
+@pytest.mark.usefixtures("split")
+class TestShared:
+    """`_shared` runs each unit once, on the first thread to claim it, so
+    the caller never waits for a unit the helper has not started."""
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(ad, "_usable_cpus", lambda: 2)
+
+    def test_a_helper_that_starts_late_leaves_every_unit_to_the_caller(
+            self, monkeypatch):
+        real = ad._beside
+        release = threading.Event()
+        blocker = ad._helper.submit(release.wait)
+        # the share's call queues behind the blocker, as on a helper whose
+        # core is busy elsewhere
+        monkeypatch.setattr(ad, "_beside",
+                            lambda fn, work: ad._helper.submit(fn))
+        slots = []
+        try:
+            out = ad._shared(lambda i, slot: slots.append(slot) or i * i, 5,
+                             ad.BESIDE_MIN_WORK)
+        finally:
+            release.set()
+        assert out == [0, 1, 4, 9, 16] and slots == [0] * 5
+        blocker.result(10)
+        # the withdrawn call no longer holds the helper busy
+        assert real(lambda: 3, ad.BESIDE_MIN_WORK).result(10) == 3
+
+    def test_the_helper_claims_the_units_the_caller_leaves_in_order(self):
+        n = 6
+        last_done = threading.Event()
+        slots = {}
+
+        def run(i, slot):
+            slots[i] = slot
+            if i == 0:
+                assert last_done.wait(10)
+            if i == n - 1:
+                last_done.set()
+            return -i
+
+        assert ad._shared(run, n, ad.BESIDE_MIN_WORK) == [-i for i in range(n)]
+        assert slots == {0: 0, **{i: 1 for i in range(1, n)}}
+
+    @pytest.mark.parametrize("caller_fails", [False, True])
+    def test_after_an_error_no_unit_is_claimed_and_the_callers_comes_first(
+            self, caller_fails):
+        ran = []
+
+        def run(i, slot):
+            ran.append(i)
+            if i == 1:
+                raise ValueError("unit 1")
+            if i == 0:
+                # until the helper has failed and let go of the share
+                deadline = time.monotonic() + 10
+                while not ran.count(1) or ad._helper._pending:
+                    assert time.monotonic() < deadline
+                    time.sleep(0.001)
+                if caller_fails:
+                    raise KeyError("unit 0")
+            return i
+
+        with pytest.raises(KeyError if caller_fails else ValueError):
+            ad._shared(run, 4, ad.BESIDE_MIN_WORK)
+        assert sorted(ran) == [0, 1]
+        assert ad._shared(lambda i, slot: i, 3, ad.BESIDE_MIN_WORK) == [0, 1, 2]
 
 
 def _record_threads(monkeypatch):
