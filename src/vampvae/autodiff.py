@@ -60,6 +60,8 @@ started, so a helper whose core is busy elsewhere costs at most the unit
 it holds. Every op stays on the calling thread; the helper runs numpy
 calls only. No product is split, and each row is computed by the same
 calls as inline, so the bytes do not depend on which thread ran a unit.
+`training.step` claims its Adam updates the same way (`_Claims`), each
+queued once `backward` passes its parameter on as final.
 
 Broadcasting is deliberately narrow: two operands are compatible when their
 shapes are equal or one shape is a trailing suffix of the other (the smaller
@@ -180,13 +182,15 @@ class _Helper:
     """The package's one helper thread: it runs the calls submitted to it
     one at a time, in order, and reports each through a `Future`. It is a
     daemon thread, started on first use, and idle between calls; no option
-    governs it. Two kinds of call reach it: the branch replays of
-    `backward`, which queue, and the forward kernels' shares (`_shared`),
+    governs it. Three kinds of call reach it: the branch replays of
+    `backward`, which queue; the forward kernels' shares (`_shared`),
     which `_beside` starts only on an idle helper, so a kernel never waits
-    behind a replay. A call withdrawn before it starts no longer counts as
-    pending. A forked child starts from a fresh helper: the parent's thread
-    does not exist there, and a call it had pending would hold the helper
-    busy for good."""
+    behind a replay; and the claiming of a training step's Adam updates
+    (`_Claims`), which `training.step` also starts only on an idle helper,
+    so an update never waits behind a replay either. A call withdrawn
+    before it starts no longer counts as pending. A forked child starts
+    from a fresh helper: the parent's thread does not exist there, and a
+    call it had pending would hold the helper busy for good."""
 
     def __init__(self):
         self._reset()
@@ -292,51 +296,104 @@ def _beside(fn: Callable[[], object], work: int) -> futures.Future | None:
     return _helper.submit(fn, if_idle=True)
 
 
-def _shared(run: Callable[[int, int], object], n: int,
-            work: int) -> list:
-    """[run(0, slot), ..., run(n - 1, slot)]: each unit runs once, on the
-    first thread to claim it, `slot` 0 on the calling thread and 1 on the
-    helper. The caller takes unit 0 and then claims units in order, and so
-    does the helper once it starts, when `_beside(.., work)` starts it; else
-    the caller runs every unit. The caller never waits for a unit the helper
-    has not started, so a helper that starts late, or runs slowly, costs at
-    most the unit it holds. After an error no unit is claimed, and the
-    caller raises its own error, else the helper's, once the helper has let
-    go of its unit."""
-    results: list = [None] * n
-    lock = threading.Lock()
-    unclaimed = 1  # the next unit; unit 0 is the caller's
+class _Claims:
+    """Units of work, each a function of a slot, claimed one at a time in
+    the order they were added by the calling thread (slot 0) and the helper
+    (slot 1), so each runs once, on the first thread to claim it.
 
-    def claim() -> int | None:
-        nonlocal unclaimed
-        with lock:
-            if unclaimed >= n:
-                return None
-            unclaimed += 1
-            return unclaimed - 1
+    The caller adds units and may start the helper claiming (`offer`); the
+    helper claims until none is left, and a unit added after that needs
+    another `offer`. After an error no unit is claimed. Leaving the
+    ``with`` block ends the claims: a helper call not yet started is
+    withdrawn, so the caller never waits for a unit the helper has not
+    started; the running one is waited for, and its error raised unless
+    the block raises its own."""
 
-    def units(i: int | None, slot: int) -> None:
-        nonlocal unclaimed
+    def __init__(self, units: Iterable[Callable[[int], object]] = ()):
+        self._units = list(units)
+        self._next = 0  # the next unit to claim
+        self._lock = threading.Lock()
+        self._open = True
+        self._claiming = False  # a helper call will claim the next unit
+        self._task: futures.Future | None = None
+
+    def __enter__(self) -> "_Claims":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        with self._lock:
+            self._open = False
+        task = self._task
+        if task is None or _helper.withdraw(task):
+            return
+        futures.wait([task])
+        if exc_type is None:
+            task.result()  # the helper's error, if it had one
+
+    def add(self, unit: Callable[[int], object]) -> None:
+        with self._lock:
+            self._units.append(unit)
+
+    def claim(self, slot: int = 0) -> Callable[[int], object] | None:
+        with self._lock:
+            if self._open and self._next < len(self._units):
+                self._next += 1
+                return self._units[self._next - 1]
+            if slot:
+                # in the same hold as finding none left, so a unit added
+                # from now on is offered again
+                self._claiming = False
+            return None
+
+    def run(self, slot: int = 0,
+            unit: Callable[[int], object] | None = None) -> None:
+        """Run `unit`, if given, then claimed units until none is left."""
         try:
-            while i is not None:
-                results[i] = run(i, slot)
-                i = claim()
+            unit = unit or self.claim(slot)
+            while unit is not None:
+                unit(slot)
+                unit = self.claim(slot)
         except BaseException:
-            with lock:
-                unclaimed = n
+            with self._lock:
+                self._open = False
             raise
 
-    task = _beside(lambda: units(claim(), 1), work) if n > 1 else None
-    if task is None:
-        return [run(i, 0) for i in range(n)]
-    try:
-        units(0, 0)
-    finally:
-        started = not _helper.withdraw(task)
-        if started:
-            futures.wait([task])
-    if started:
-        task.result()  # the helper's error, if it had one
+    def offer(self, start: Callable[[Callable[[], None]],
+                                    futures.Future | None]) -> bool:
+        """Whether the helper claims the units left: it is claiming
+        already, or `start(fn)` returns the future of `fn` on the helper."""
+        with self._lock:
+            if self._claiming or not self._open:
+                return self._claiming
+            self._claiming = True
+        task = start(lambda: self.run(1))
+        with self._lock:
+            if task is None:
+                self._claiming = False
+            else:
+                self._task = task
+        return task is not None
+
+
+def _shared(run: Callable[[int, int], object], n: int,
+            work: int) -> list:
+    """[run(0, slot), ..., run(n - 1, slot)], the units of `_Claims`:
+    the caller takes unit 0 and then claims units in order, and so does
+    the helper once it starts, when `_beside(.., work)` starts it; else
+    the caller runs every unit. The caller raises its own error, else the
+    helper's."""
+    results: list = [None] * n
+
+    def unit(i: int) -> Callable[[int], None]:
+        def go(slot: int) -> None:
+            results[i] = run(i, slot)
+        return go
+
+    with _Claims(unit(i) for i in range(n)) as claims:
+        first = claims.claim()
+        if n > 1:
+            claims.offer(lambda fn: _beside(fn, work))
+        claims.run(0, first)
     return results
 
 
@@ -1015,10 +1072,11 @@ def backward(root: Tensor) -> None:
     is passed to it, on the calling thread, once its last gradient is in:
     after the node that last delivers to it has finished its rule, or, for
     a leaf a `Branch` reaches after every node of this tape, once the
-    branch has finished. That is as soon as it is final while a branch
-    replays on the helper thread, so the callback's work overlaps the
-    branch; otherwise it is after the replay, in the same order, where
-    interleaving the callback's work with the replay only measured slower.
+    branch has finished. Where the process may use two or more CPUs that
+    is as soon as the leaf is final, so the callback can hand its work to
+    the helper thread beside the rest of the replay; with one CPU it is
+    after the replay, in the same order, where interleaving the callback's
+    work with the replay only measured slower.
 
     A process allowed one CPU replays its branches on the calling thread,
     each where a single tape would have: there the helper only added
@@ -1051,7 +1109,7 @@ def backward(root: Tensor) -> None:
     running: list[Branch] = []  # replaying on the helper, oldest first
     shared: set[Tensor] = set()  # the leaves they reach
     held: list[Tensor] = []  # final leaves passed on after the replay
-    overlapped = bool(joins) and _usable_cpus() > 1
+    overlapped = _usable_cpus() > 1
     pass_on = on_final if overlapped else held.append
 
     def finish(index):

@@ -263,7 +263,8 @@ def log_bernoulli(x: Tensor, logits: Tensor) -> Tensor:
     """
     x = x if isinstance(x, Tensor) else Tensor(x)
     logits = logits if isinstance(logits, Tensor) else Tensor(logits)
-    if np.any(x.data < 0.0) or np.any(x.data > 1.0):
+    # two reductions, no boolean temporaries; an empty array has no min
+    if x.size and (x.data.min() < 0.0 or x.data.max() > 1.0):
         raise DomainError("log_bernoulli targets must lie in [0, 1]")
     if x.shape != logits.shape:
         raise DimensionError(f"log_bernoulli: targets {x.shape} != logits "

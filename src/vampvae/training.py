@@ -84,17 +84,27 @@ def step(params: dict[str, Tensor], opt: AdamState, lr: float,
     """One update: rescale each block's gradient to unit L2 norm, then Adam.
 
     Given `loss`, it sets the loss graph's `on_final`, runs
-    `backward(loss)`, updates each parameter as `backward` passes it on as
-    final, and drops that gradient: while the prior's branch replays on
-    the helper thread that is the moment the gradient is complete, so the
-    updates overlap the branch and finished gradients are freed before its
-    first-layer backward. Without `loss` it updates from the gradients the
-    parameters hold. Either way every trainable parameter needs a
-    gradient, and gets the same bits.
+    `backward(loss)`, and queues each parameter's update as `backward`
+    passes it on as final; without `loss` it queues every update at once,
+    from the gradients the parameters hold. Where the process may use two
+    or more CPUs, the updates are claimed one at a time from that queue
+    (`autodiff._Claims`) by the calling thread and the package's helper
+    thread, started whenever it is idle: with the `sg` and `mog` priors
+    the helper has nothing else to do, so the updates overlap the rest of
+    the backward pass. While the helper replays a vamp prior's branch the
+    caller runs the updates as they come, and once the replay is over the
+    helper takes them. With one CPU the caller runs them all, in the same
+    order, after the replay. The caller claims whatever is left once
+    `backward` returns, and `step` returns, or raises, only after every
+    update it started has finished; an update not yet claimed then is
+    dropped. Each update drops its gradient once used (given `loss`).
+    Every trainable parameter needs a gradient, and gets the same bits on
+    any thread.
 
     Blocks whose gradient norm is below the floor are left untouched,
     moments included. The norm is one sum over the whole block; the update
-    runs in place over slices of ADAM_CHUNK elements, in the op order of
+    runs in place over slices of ADAM_CHUNK elements, into two scratch
+    slices of the thread that runs it, in the op order of
 
         g = grad / norm
         m = beta1 m + (1 - beta1) g
@@ -110,13 +120,16 @@ def step(params: dict[str, Tensor], opt: AdamState, lr: float,
     corr1 = 1.0 - opt.beta1 ** t
     corr2 = 1.0 - opt.beta2 ** t
     names = {p: name for name, p in params.items() if p.requires_grad}
-    scratch: list[np.ndarray] = []  # made by the first update, not before
+    # per slot of the claims (the caller's, the helper's); made by that
+    # thread's first update, not before
+    scratch: list[list[np.ndarray]] = [[], []]
+    beside = ad._usable_cpus() > 1
 
-    def update(p: Tensor) -> None:
-        if not scratch:
-            scratch.extend((np.empty(ADAM_CHUNK), np.empty(ADAM_CHUNK)))
-        a, b = scratch
-        name, full = names.pop(p), p.grad
+    def update(p: Tensor, name: str, slot: int) -> None:
+        if not scratch[slot]:
+            scratch[slot] = [np.empty(ADAM_CHUNK), np.empty(ADAM_CHUNK)]
+        a, b = scratch[slot]
+        full = p.grad
         if full is None:
             raise ContractError(f"missing gradient for parameter '{name}'")
         if loss is not None:
@@ -145,21 +158,30 @@ def step(params: dict[str, Tensor], opt: AdamState, lr: float,
             np.add(s, opt.eps, out=s)
             wc -= np.divide(g, s, out=g)
 
-    def final(p: Tensor) -> None:
-        if p in names:
-            update(p)
+    def idle_helper(fn):
+        return ad._helper.submit(fn, if_idle=True)
 
-    if loss is not None:
-        loss.node.graph.on_final = final
-        ad.backward(loss)
-    for p in list(names):
-        update(p)
+    with ad._Claims() as claims:
+        def final(p: Tensor) -> None:
+            name = names.pop(p, None)
+            if name is None:
+                return
+            claims.add(lambda slot: update(p, name, slot))
+            if not (beside and claims.offer(idle_helper)):
+                claims.run()
+
+        if loss is not None:
+            loss.node.graph.on_final = final
+            ad.backward(loss)
+        for p in list(names):
+            final(p)
+        claims.run()
 
 
 def dynamic_binarize(batch: np.ndarray, rng) -> np.ndarray:
     """Draw each pixel Bernoulli(intensity); fresh noise per call."""
     batch = np.asarray(batch, dtype=np.float64)
-    if np.any(batch < 0.0) or np.any(batch > 1.0):
+    if batch.size and (batch.min() < 0.0 or batch.max() > 1.0):
         raise DomainError("dynamic_binarize expects intensities in [0, 1]")
     return (rng.random(batch.shape) < batch).astype(np.float64)
 

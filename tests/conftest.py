@@ -9,7 +9,10 @@ the order.
 
 The package's helper thread is a daemon and outlives the test that starts
 it; a thread that is not a daemon and is still running when its test ends
-would keep the interpreter from exiting.
+would keep the interpreter from exiting. A call the helper still has
+pending a short while after its test ends (a branch replay, a kernel's
+share or an Adam update the test leaked) fails that test too, before it
+can hold the helper busy for the next one.
 """
 
 import sys
@@ -17,10 +20,15 @@ import sys
 NUMPY_LOADED_FIRST = "numpy" in sys.modules
 
 import threading  # noqa: E402
+import time  # noqa: E402
 
 import pytest  # noqa: E402
 
 import vampvae  # noqa: E402,F401
+from vampvae import autodiff  # noqa: E402
+
+# how long a test's last helper call may take to finish after the test
+HELPER_GRACE_S = 1.0
 
 
 @pytest.fixture(autouse=True)
@@ -31,3 +39,14 @@ def no_thread_left_running():
             if t not in before and not t.daemon and t.is_alive()]
     if left:
         pytest.fail(f"test left non-daemon threads running: {left}")
+
+
+@pytest.fixture(autouse=True)
+def no_helper_call_left_pending():
+    yield
+    deadline = time.monotonic() + HELPER_GRACE_S
+    while autodiff._helper._pending and time.monotonic() < deadline:
+        time.sleep(0.001)
+    if autodiff._helper._pending:
+        pytest.fail(f"test left {autodiff._helper._pending} call(s) pending "
+                    "on the helper thread")

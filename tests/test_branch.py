@@ -115,11 +115,19 @@ class TestBranch:
             # whole replay
             assert [e[0] for e in log] == ["done"] * 3 + ["final"] * 2
 
-    def test_without_a_branch_leaves_are_passed_on_after_the_replay(self):
+    def test_without_a_branch_leaves_pass_after_the_replay_or_once_final(
+            self, cpus):
         case = _Case()
         case.run(branched=False, on_final=lambda leaf: case.log.append(
             ("final", "w" if leaf is case.w else "p")))
-        assert [e[0] for e in case.log] == ["done"] * 3 + ["final"] * 2
+        log = [e[:2] for e in case.log]
+        if cpus == 1:
+            assert [e[0] for e in log] == ["done"] * 3 + ["final"] * 2
+        else:
+            # each leaf right after the node nearest the tape's start that
+            # lists it: p after b1's product, before b1's tap has finished
+            assert log == [("done", "b2"), ("final", "p"), ("done", "b1"),
+                           ("done", "main"), ("final", "w")]
 
     def test_many_branches_under_frequent_thread_switches(self):
         # eight branches and the main tape add into one leaf; a lost or

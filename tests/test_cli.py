@@ -23,6 +23,10 @@ from vampvae.pgm import GRID_MARGIN, read_pgm
 from vampvae.training import TrainConfig, prepare_validation, validation_elbo
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+SEES_THE_HELPER = pytest.mark.skipif(
+    not Path("/proc/self/task").is_dir() or len(os.sched_getaffinity(0)) < 2,
+    reason="needs /proc to see the helper thread start, and two usable CPUs, "
+           "without which no helper thread starts")
 TINY_DATA = ["--dataset", "synth", "--synth-n", "200", "--synth-dim", "16",
              "--synth-k", "2"]
 TINY_MODEL = ["--m1", "3", "--m2", "3", "--hidden", "8", "--k", "4"]
@@ -63,36 +67,43 @@ class TestInterrupt:
         assert cli.main(argv) == cli.INTERRUPTED == 130
         assert capsys.readouterr().err == "interrupted\n"
 
-    @pytest.mark.skipif(
-        not Path("/proc/self/task").is_dir()
-        or len(os.sched_getaffinity(0)) < 2,
-        reason="needs /proc to see the helper thread start, and two usable "
-               "CPUs, without which no helper thread starts")
+    @SEES_THE_HELPER
     def test_sigint_mid_step_of_a_real_vamp_fit(self, tmp_path):
-        # paper widths, so that a step lasts long enough to be interrupted
-        argv = ["train", "--synth-n", "1000", "--synth-dim", "784",
-                "--prior", "vamp", "--k", "500", "--warmup-epochs", "0",
-                "--outdir", str(tmp_path / "out")]
-        env = {**os.environ, "PYTHONPATH": str(SRC)}
-        proc = subprocess.Popen([sys.executable, "-m", "vampvae.cli", *argv],
-                                env=env, stdout=subprocess.PIPE,
-                                stderr=subprocess.PIPE, text=True)
-        try:
-            # BLAS runs one thread, so a second one is the helper, which
-            # the first step's backward starts
-            tasks = Path(f"/proc/{proc.pid}/task")
-            deadline = time.monotonic() + 60.0
-            while len(list(tasks.iterdir())) < 2:
-                assert proc.poll() is None and time.monotonic() < deadline
-                time.sleep(0.05)
-            time.sleep(0.3)
-            proc.send_signal(signal.SIGINT)
-            out, err = proc.communicate(timeout=60)
-        finally:
-            if proc.poll() is None:
-                proc.kill()
-                proc.communicate()
-        assert (proc.returncode, out, err) == (130, "", "interrupted\n")
+        # the first step's backward starts the helper for the branch replay
+        _interrupt_a_paper_width_fit(tmp_path, ["--prior", "vamp", "--k",
+                                                "500"])
+
+    @SEES_THE_HELPER
+    def test_sigint_mid_step_of_a_real_sg_fit(self, tmp_path):
+        # the first step's first final gradient starts the helper for Adam
+        _interrupt_a_paper_width_fit(tmp_path, ["--prior", "sg"])
+
+
+def _interrupt_a_paper_width_fit(tmp_path, prior):
+    """SIGINT a `train` process once its helper thread has started and a
+    little after: it exits 130 with exactly one `interrupted` line."""
+    # paper widths, so that a step lasts long enough to be interrupted
+    argv = ["train", "--synth-n", "1000", "--synth-dim", "784", *prior,
+            "--warmup-epochs", "0", "--outdir", str(tmp_path / "out")]
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.Popen([sys.executable, "-m", "vampvae.cli", *argv],
+                            env=env, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True)
+    try:
+        # BLAS runs one thread, so a second one is the helper
+        tasks = Path(f"/proc/{proc.pid}/task")
+        deadline = time.monotonic() + 60.0
+        while len(list(tasks.iterdir())) < 2:
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.05)
+        time.sleep(0.3)
+        proc.send_signal(signal.SIGINT)
+        out, err = proc.communicate(timeout=60)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.communicate()
+    assert (proc.returncode, out, err) == (130, "", "interrupted\n")
 
 
 class TestOutOfMemory:

@@ -1,14 +1,18 @@
 """Tests for the objective, optimizer, binarization, and fitting loop."""
 
 import math
+import threading
+import time
 from collections import Counter
+from concurrent import futures
 
 import numpy as np
 import pytest
 
 from helpers import assert_same_bits, peak_mb_above_held, zero_parameters
+from vampvae import autodiff as ad
 from vampvae import cli, training
-from vampvae.autodiff import Graph, Tensor, backward
+from vampvae.autodiff import Branch, Graph, Tensor, backward
 from vampvae.datasets import synth_clusters
 from vampvae.errors import ContractError, DomainError
 from vampvae.models import ModelSpec, build_model, set_parameters
@@ -158,11 +162,14 @@ class TestStep:
                 with pytest.raises(ContractError, match=message):
                     step(params, opt, 1e-2)
 
+    @pytest.mark.parametrize("cpus", [1, 2], ids=["one-cpu", "two-cpus"])
     @pytest.mark.parametrize("levels,prior", [(2, "vamp"), (1, "vamp"),
                                               (2, "weighted-vamp"),
-                                              (2, "sg")])
+                                              (2, "sg"), (1, "sg"),
+                                              (2, "mog")])
     def test_updating_each_gradient_as_it_completes_gives_the_same_bits(
-            self, levels, prior):
+            self, levels, prior, cpus, monkeypatch):
+        monkeypatch.setattr(ad, "_usable_cpus", lambda: cpus)
         x = np.random.default_rng(4).integers(0, 2, (6, 4)).astype(float)
         states = []
         for given_loss in (False, True):
@@ -203,6 +210,228 @@ class TestStep:
             step(params, opt, lr=1e-2)
         for a, b in zip(losses[5:], losses[6:]):
             assert b < a
+
+
+def _record_updates(monkeypatch, on_run=None):
+    """Wrap each update `step` queues: on running, log its index (the order
+    the updates were queued in) and its thread, then call `on_run(i)`.
+    Returns the log and the number queued so far, in a one-item list."""
+    ran, queued = [], [0]
+    real = ad._Claims.add
+
+    def add(self, unit):
+        i = queued[0]
+        queued[0] += 1
+
+        def recorded(slot):
+            ran.append((i, threading.current_thread()))
+            if on_run is not None:
+                on_run(i)
+            return unit(slot)
+
+        real(self, recorded)
+
+    monkeypatch.setattr(ad._Claims, "add", add)
+    return ran, queued
+
+
+def _sg_step():
+    x = np.random.default_rng(4).integers(0, 2, (6, 4)).astype(float)
+    model = tiny_model(2, "sg", seed=5)
+    trainable = {k: p for k, p in model.parameters().items()
+                 if p.requires_grad}
+    opt = AdamState(trainable)
+    with Graph():
+        loss = objective(x, model, 1.0, np.random.default_rng(6))
+        step(trainable, opt, 1e-2, loss)
+    return {k: p.data for k, p in trainable.items()}
+
+
+class TestStepClaims:
+    """With two CPUs the updates are claimed one at a time by the caller
+    and an idle helper; the caller never waits for an update the helper
+    has not started, and `step` ends only once the helper lets go."""
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(ad, "_usable_cpus", lambda: 2)
+
+    def test_the_first_final_gradient_starts_the_idle_helper(
+            self, monkeypatch):
+        with monkeypatch.context() as m:
+            m.setattr(ad, "_usable_cpus", lambda: 1)
+            want = _sg_step()
+        real_submit = ad._helper.submit
+        calls = []
+
+        def submit(fn, if_idle=False):
+            task = real_submit(fn, if_idle)
+            calls.append((if_idle, task is not None, queued[0]))
+            return task
+
+        monkeypatch.setattr(ad._helper, "submit", submit)
+        ran, queued = _record_updates(monkeypatch)
+        got = _sg_step()
+        assert calls[0] == (True, True, 1)
+        assert sorted(i for i, _ in ran) == list(range(queued[0])) == \
+            list(range(len(want)))
+        for k in want:
+            assert_same_bits(got[k], want[k])
+
+    def test_a_helper_that_starts_late_leaves_every_update_to_the_caller(
+            self, monkeypatch):
+        want = _sg_step()
+        real_submit = ad._helper.submit
+        release = threading.Event()
+        blocker = real_submit(release.wait)
+        # the claims' call queues behind the blocker, as on a helper whose
+        # core is busy elsewhere
+        monkeypatch.setattr(ad._helper, "submit",
+                            lambda fn, if_idle=False: real_submit(fn))
+        ran, queued = _record_updates(monkeypatch)
+        try:
+            got = _sg_step()
+        finally:
+            release.set()
+        assert [i for i, _ in ran] == list(range(queued[0]))
+        assert {t for _, t in ran} == {threading.current_thread()}
+        blocker.result(10)
+        # the withdrawn call no longer holds the helper busy
+        assert ad._helper._pending == 0
+        for k in want:
+            assert_same_bits(got[k], want[k])
+
+    def test_a_helper_busy_with_a_branch_leaves_updates_to_the_caller(
+            self, monkeypatch):
+        rng = np.random.default_rng(7)
+        w = Tensor(rng.standard_normal(5), requires_grad=True)
+        q = Tensor(rng.standard_normal(5), requires_grad=True)
+        updated = threading.Event()
+
+        def slow(g):
+            # until w's update has run: on the helper it would queue
+            # behind this replay
+            assert updated.wait(10)
+            return (g,)
+
+        ran, _ = _record_updates(monkeypatch, lambda i: updated.set())
+        real_submit = ad._helper.submit
+        offers = []
+
+        def submit(fn, if_idle=False):
+            task = real_submit(fn, if_idle)
+            if if_idle:
+                offers.append(task is not None)
+            return task
+
+        monkeypatch.setattr(ad._helper, "submit", submit)
+        params = {"w": w, "q": q}
+        opt = AdamState(params)
+        with Graph():
+            h = ad.exp(w * 0.1).sum()
+            # joined after w's last node, so the replay starts before w is
+            # final
+            (a,) = Branch(lambda: (ad.apply_op(
+                "slow", q.data * 2.0, (q,), slow),)).outputs
+            step(params, opt, 1e-2, h + a.sum())
+        assert ran[0] == (0, threading.current_thread())
+        assert sorted(i for i, _ in ran) == [0, 1]
+        # refused for w during the replay, accepted for q after it
+        assert offers == [False, True]
+
+    def test_an_update_queued_after_the_helper_ran_dry_starts_it_again(
+            self):
+        ran = []
+        with ad._Claims() as claims:
+            for i in range(2):
+                claims.add(lambda slot, i=i: ran.append(
+                    (i, threading.current_thread())))
+                assert claims.offer(
+                    lambda fn: ad._helper.submit(fn, if_idle=True))
+                deadline = time.monotonic() + 10
+                while len(ran) <= i or ad._helper._pending:
+                    assert time.monotonic() < deadline
+                    time.sleep(0.001)
+        assert ran == [(0, ad._helper._thread), (1, ad._helper._thread)]
+
+    def test_a_missing_gradient_raised_on_the_helper_reaches_the_caller(
+            self, monkeypatch):
+        real_claim = ad._Claims.claim
+
+        def claim(self, slot=0):
+            # the caller claims only once the helper's call has ended, so
+            # the helper runs every update
+            if not slot and self._task is not None:
+                futures.wait([self._task], timeout=10)
+            return real_claim(self, slot)
+
+        monkeypatch.setattr(ad._Claims, "claim", claim)
+        queued = None
+
+        def on_run(i):
+            # the helper is still claiming when 'unused' is queued
+            deadline = time.monotonic() + 10
+            while i == 0 and queued[0] < 2:
+                assert time.monotonic() < deadline
+                time.sleep(0.001)
+
+        ran, queued = _record_updates(monkeypatch, on_run)
+        params = {"w": Tensor([1.0, 2.0], requires_grad=True),
+                  "unused": Tensor([3.0], requires_grad=True)}
+        opt = AdamState(params)
+        with Graph():
+            loss = (params["w"] * params["w"]).sum()
+            with pytest.raises(ContractError, match="missing gradient for "
+                               "parameter 'unused'"):
+                step(params, opt, 1e-2, loss)
+        assert [i for i, _ in ran] == [0, 1]
+        assert {t for _, t in ran} == {ad._helper._thread}
+        assert ad._helper._pending == 0
+
+    @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+    def test_an_error_in_backward_waits_for_the_helpers_update_only(
+            self, error, monkeypatch):
+        rng = np.random.default_rng(8)
+        a, b, c = (Tensor(rng.standard_normal(4), requires_grad=True)
+                   for _ in range(3))
+        holding, failing = threading.Event(), threading.Event()
+
+        def on_run(i):
+            if i == 0:
+                holding.set()
+                assert failing.wait(10)
+                time.sleep(0.05)  # the caller is leaving `step` by now
+
+        def fail(g):
+            assert holding.wait(10)
+            failing.set()
+            raise error
+
+        ran, _ = _record_updates(monkeypatch, on_run)
+        params = {"a": a, "b": b}
+        before = {k: p.data.copy() for k, p in params.items()}
+        opt = AdamState(params)
+        with pytest.raises(error):
+            with Graph():
+                # replayed last: a is final first, then b
+                early = ad.apply_op("fail", c.data.copy(), (c,), fail)
+                loss = early.sum() + (b * b).sum() + (a * 2.0).sum()
+                step(params, opt, 1e-2, loss)
+        # a's update, on the helper, finished before `step` raised; b's
+        # was queued behind it and never ran
+        assert ran == [(0, ad._helper._thread)]
+        assert ad._helper._pending == 0
+        assert not np.array_equal(a.data, before["a"])
+        np.testing.assert_array_equal(b.data, before["b"])
+        time.sleep(0.05)
+        assert len(ran) == 1
+        # the next step is normal
+        for p in params.values():
+            p.zero_grad()
+        with Graph():
+            step(params, opt, 1e-2, (a * b).sum())
+        assert sorted(i for i, _ in ran[1:]) == [2, 3]
+        assert all(p.grad is None for p in params.values())
 
 
 class TestBlockedAdam:
