@@ -50,18 +50,19 @@ would, so the bytes do not depend on the thread that computed them, and
 it passes each leaf to the graph's `on_final` callback, when one is set,
 once its gradient is complete (`training.step` applies Adam there).
 
-The same helper also shares a large forward kernel inside a `splitting`
-block, which evaluation opens around its importance-sampled rows, when it
-is idle (`_beside`). The kernel's units are claimed one at a time by the
-calling thread and the helper (`_shared`): the two products of
-`gated_dense`, and the row blocks of the pairwise Gaussian density of
-`distributions`. The caller never waits for a unit the helper has not
-started, so a helper whose core is busy elsewhere costs at most the unit
-it holds. Every op stays on the calling thread; the helper runs numpy
-calls only. No product is split, and each row is computed by the same
-calls as inline, so the bytes do not depend on which thread ran a unit.
-`training.step` claims its Adam updates the same way (`_Claims`), each
-queued once `backward` passes its parameter on as final.
+The same helper also computes the pairwise Gaussian density of
+`distributions` beside the rest of an evaluation pass, inside a
+`splitting` block, when it is idle: the density's row blocks are units of
+`_Claims`, offered to the helper (`_Claims.start`) as soon as z is drawn,
+and the helper claims them one at a time while the calling thread runs
+the rest of the pass. Where the density is recorded, the caller claims the
+blocks left (`_Claims.finish`) and waits only for the block the helper
+holds, so a helper whose core is busy elsewhere costs at most one block.
+Every op stays on the calling thread; the helper runs numpy calls only,
+and each row is computed by the same calls as inline, so the bytes do not
+depend on which thread ran a block. `training.step` claims its Adam
+updates the same way, each queued once `backward` passes its parameter
+on as final.
 
 Broadcasting is deliberately narrow: two operands are compatible when their
 shapes are equal or one shape is a trailing suffix of the other (the smaller
@@ -183,14 +184,14 @@ class _Helper:
     one at a time, in order, and reports each through a `Future`. It is a
     daemon thread, started on first use, and idle between calls; no option
     governs it. Three kinds of call reach it: the branch replays of
-    `backward`, which queue; the forward kernels' shares (`_shared`),
-    which `_beside` starts only on an idle helper, so a kernel never waits
-    behind a replay; and the claiming of a training step's Adam updates
-    (`_Claims`), which `training.step` also starts only on an idle helper,
-    so an update never waits behind a replay either. A call withdrawn
-    before it starts no longer counts as pending. A forked child starts
-    from a fresh helper: the parent's thread does not exist there, and a
-    call it had pending would hold the helper busy for good."""
+    `backward`, which queue; the claiming of a started density's blocks
+    (`_Claims.start`), which starts only on an idle helper, so a density
+    never waits behind a replay; and the claiming of a training step's
+    Adam updates, which `training.step` also starts only on an idle
+    helper, so an update never waits behind a replay either. A call
+    withdrawn before it starts no longer counts as pending. A forked child
+    starts from a fresh helper: the parent's thread does not exist there,
+    and a call it had pending would hold the helper busy for good."""
 
     def __init__(self):
         self._reset()
@@ -258,24 +259,27 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-# Work below which a kernel keeps both halves on the calling thread, counted
-# in elementwise passes over one float64 (about 0.7 ns each on one core). A
-# round trip to an idle helper takes about 25 us, and the halves' data also
-# crosses between the cores' caches: a gated layer of 100 rows measured
-# 0.42 ms inline and 0.46 split at 40 -> 300, 1.49 and 0.99 at 300 -> 300.
-# In a 500-row IS chunk this floor splits the pairwise density and the
-# layers with 300 or more inputs, and keeps the 40 -> 300 layers whole.
-BESIDE_MIN_WORK = 8_000_000
+# Work below which a started kernel leaves its units to the calling thread,
+# in elementwise passes over one float64 (six per element of the pairwise
+# density's (B, K, M) broadcast). Beside a stand-in decoder at K=500, M=40
+# (medians of 200 alternating pairs, two cores), densities of 20 rows (2.4M,
+# a desk S=20 chunk), 67 and 80 rows took 2.0, 5.6 and 6.6 ms started, 2.0,
+# 5.2 and 6.3 inline: the helper's wake-up and cache traffic outweigh them.
+# 100 rows (12M) took 5.4 against 7.6, and a paper IS chunk has 500 (60M).
+BESIDE_MIN_WORK = 12_000_000
 
 
 @contextlib.contextmanager
 def splitting():
-    """A block in which the calling thread's large forward kernels may
-    share their work with the helper thread (see `_shared`). Only
+    """A block in which the calling thread's unrecorded passes may start
+    a large forward kernel on the helper thread (`_Claims.start`): the
+    pairwise mixture density, started as soon as z is drawn and finished
+    where the prior's log-density is taken. Only
     `evaluation.per_example_log_likelihood` opens one, on its calling
-    thread: a training step's backward, and the steps after a split
-    validation pass, measured slower by what the split saved, and
-    evaluation's worker threads already occupy the cores."""
+    thread: a recorded pass starts nothing (see `priors`), the training
+    steps after a validation pass that shared its kernels measured slower
+    by what the sharing saved, and evaluation's worker threads already
+    occupy the cores."""
     outer = getattr(_state, "splitting", False)
     _state.splitting = True
     try:
@@ -284,30 +288,19 @@ def splitting():
         _state.splitting = outer
 
 
-def _beside(fn: Callable[[], object], work: int) -> futures.Future | None:
-    """Start `fn` on the helper thread and return its future, when the work
-    is at least BESIDE_MIN_WORK, the caller is in a `splitting` block, the
-    process may use more than one CPU and the helper is idle; else None.
-    `fn` runs numpy kernels only: no op, span or tape node is ever made on
-    the helper."""
-    if (work < BESIDE_MIN_WORK or not getattr(_state, "splitting", False)
-            or _usable_cpus() < 2):
-        return None
-    return _helper.submit(fn, if_idle=True)
-
-
 class _Claims:
     """Units of work, each a function of a slot, claimed one at a time in
     the order they were added by the calling thread (slot 0) and the helper
     (slot 1), so each runs once, on the first thread to claim it.
 
-    The caller adds units and may start the helper claiming (`offer`); the
-    helper claims until none is left, and a unit added after that needs
-    another `offer`. After an error no unit is claimed. Leaving the
-    ``with`` block ends the claims: a helper call not yet started is
-    withdrawn, so the caller never waits for a unit the helper has not
-    started; the running one is waited for, and its error raised unless
-    the block raises its own."""
+    The caller adds units and may start the helper claiming (`offer`, or
+    `start` for a forward kernel); the helper claims until none is left,
+    and a unit added after that needs another `offer`. After an error no
+    unit is claimed. `finish` runs the units left on the calling thread and
+    ends the claims, as leaving a ``with`` block does without running them:
+    a helper call not yet started is withdrawn, so the caller never waits
+    for a unit the helper has not started; the running one is waited for,
+    and its error raised unless the block raises its own."""
 
     def __init__(self, units: Iterable[Callable[[int], object]] = ()):
         self._units = list(units)
@@ -323,7 +316,8 @@ class _Claims:
     def __exit__(self, exc_type, exc, tb) -> None:
         with self._lock:
             self._open = False
-        task = self._task
+        # dropped here: a helper's error would hold the claims in a cycle
+        task, self._task = self._task, None
         if task is None or _helper.withdraw(task):
             return
         futures.wait([task])
@@ -345,11 +339,10 @@ class _Claims:
                 self._claiming = False
             return None
 
-    def run(self, slot: int = 0,
-            unit: Callable[[int], object] | None = None) -> None:
-        """Run `unit`, if given, then claimed units until none is left."""
+    def run(self, slot: int = 0) -> None:
+        """Run claimed units until none is left."""
         try:
-            unit = unit or self.claim(slot)
+            unit = self.claim(slot)
             while unit is not None:
                 unit(slot)
                 unit = self.claim(slot)
@@ -358,15 +351,14 @@ class _Claims:
                 self._open = False
             raise
 
-    def offer(self, start: Callable[[Callable[[], None]],
-                                    futures.Future | None]) -> bool:
+    def offer(self) -> bool:
         """Whether the helper claims the units left: it is claiming
-        already, or `start(fn)` returns the future of `fn` on the helper."""
+        already, or it was idle and starts now."""
         with self._lock:
             if self._claiming or not self._open:
                 return self._claiming
             self._claiming = True
-        task = start(lambda: self.run(1))
+        task = _helper.submit(lambda: self.run(1), if_idle=True)
         with self._lock:
             if task is None:
                 self._claiming = False
@@ -374,34 +366,19 @@ class _Claims:
                 self._task = task
         return task is not None
 
+    def start(self, work: int) -> "_Claims":
+        """`offer`, in a `splitting` block on more than one CPU when the
+        work is at least BESIDE_MIN_WORK; self. The units run numpy calls
+        only: no op, span or tape node is ever made on the helper."""
+        if (work >= BESIDE_MIN_WORK and getattr(_state, "splitting", False)
+                and _usable_cpus() > 1):
+            self.offer()
+        return self
 
-def _shared(run: Callable[[int, int], object], n: int,
-            work: int) -> list:
-    """[run(0, slot), ..., run(n - 1, slot)], the units of `_Claims`:
-    the caller takes unit 0 and then claims units in order, and so does
-    the helper once it starts, when `_beside(.., work)` starts it; else
-    the caller runs every unit. The caller raises its own error, else the
-    helper's."""
-    results: list = [None] * n
-
-    def unit(i: int) -> Callable[[int], None]:
-        def go(slot: int) -> None:
-            results[i] = run(i, slot)
-        return go
-
-    with _Claims(unit(i) for i in range(n)) as claims:
-        first = claims.claim()
-        if n > 1:
-            claims.offer(lambda fn: _beside(fn, work))
-        claims.run(0, first)
-    return results
-
-
-def _in_two(first: Callable[[], object], second: Callable[[], object],
-            work: int) -> tuple[object, object]:
-    """(first(), second()) as the two units of `_shared`: `second` runs on
-    the helper when it claims it while `first` runs on the caller."""
-    return tuple(_shared(lambda i, _slot: (first, second)[i](), 2, work))
+    def finish(self) -> None:
+        """Run the units left on the calling thread, then end the claims."""
+        with self:
+            self.run()
 
 
 class Branch:
@@ -899,25 +876,15 @@ def gated_dense(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor,
     Both pre-activations pass the finiteness screen, so an overflow the
     sigmoid would hide still raises `NumericError`, the linear half's
     first. Inputs (b2, x, w2, b1, x, w1): the chain's tape replays the gate
-    before the linear half, so x receives the gate's gradient first. The
-    gate's product, screen and sigmoid may run on the helper thread while
-    the caller forms the linear half: two whole products, the same bytes.
+    before the linear half, so x receives the gate's gradient first.
     """
     _check_affine("gated_dense", x, w1, b1)
     _check_affine("gated_dense", x, w2, b2)
-
-    def linear_half():
-        h = _affine_values(x, w1, b1)
-        _ensure_finite("gated_dense", h)
-        return h
-
-    def gate_half():
-        s = _affine_values(x, w2, b2)
-        _ensure_finite("gated_dense", s)
-        return _sigmoid_values(s, out=s)
-
-    # a multiply-add of a one-thread product costs about a quarter pass
-    h, s = _in_two(linear_half, gate_half, x.size * w2.shape[1] // 4)
+    h = _affine_values(x, w1, b1)
+    _ensure_finite("gated_dense", h)
+    s = _affine_values(x, w2, b2)
+    _ensure_finite("gated_dense", s)
+    _sigmoid_values(s, out=s)
     gate = _affine_grads(x, w2, b2)
     linear = _affine_grads(x, w1, b1)
 

@@ -272,6 +272,7 @@ def _fixed_test_binarization(dataset: ds_mod.Dataset, seed: int) -> np.ndarray:
 def cmd_train(args) -> int:
     started = time.monotonic()
     dataset = load_dataset(args)
+    training.check_splits(dataset.train, dataset.val)
     spec = _model_spec(args, dataset)
     rng = np.random.default_rng(args.seed)
     model = build_model(spec, rng, data_mean=dataset.train.mean(axis=0),

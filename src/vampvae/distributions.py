@@ -15,11 +15,14 @@ temporaries. The two Gaussian densities form their summands with one
 function, `_gaussian_terms`, and `log_bernoulli` takes its softplus and
 sigmoid from `autodiff`, the functions the chain's `softplus` and
 `sigmoid` nodes run. Bernoulli targets are data: they have the logits'
-shape and take no gradient.
+shape and take no gradient. The pairwise density's forward can start
+before its node is recorded (`start_pairwise`), so that evaluation runs it
+on the helper thread beside the rest of its pass.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -167,7 +170,46 @@ def _accumulate_rows(acc: np.ndarray | None, block: np.ndarray) -> np.ndarray:
     return acc
 
 
-def log_normal_diag_pairwise(z: Tensor, p: DiagGaussian) -> Tensor:
+class PairwiseStart(ad._Claims):
+    """`log_normal_diag_pairwise(z, p)`'s forward under way: its row blocks
+    as claims, the components `p`, their precision and the output."""
+
+    def __init__(self, blocks, p: DiagGaussian, precision: np.ndarray,
+                 out: np.ndarray):
+        super().__init__(blocks)
+        self.p, self.precision, self.out = p, precision, out
+
+
+def start_pairwise(z: Tensor, p: DiagGaussian) -> PairwiseStart:
+    """Start `log_normal_diag_pairwise(z, p)`'s forward: in a `splitting`
+    block an idle helper claims its row blocks one at a time from now on,
+    in a block buffer of its own (`ad._Claims.start`). Pass the handle to
+    `log_normal_diag_pairwise`, or leave a ``with`` block on it to end it."""
+    if z.ndim != 2 or p.mean.ndim != 2:
+        raise DimensionError("pairwise density expects (B, M) rows and "
+                             "(K, M) components")
+    _check_event_dim("log_normal_diag_pairwise", z, p)
+    zd, mu, lv = z.data, p.mean.data, p.log_var.data
+    b, (k, m) = zd.shape[0], mu.shape
+    rows = pairwise_block_rows(k, m)
+    precision = np.exp(-lv)                    # (K, M)
+    out = np.empty((b, k))
+    bufs = [None, None]  # per slot of the claims
+
+    def one_block(lo, slot):
+        if bufs[slot] is None:
+            bufs[slot] = np.empty((min(rows, b), k, m))
+        diff = _pairwise_diff(zd, mu, lo, bufs[slot])
+        terms = _gaussian_terms(diff, lv, precision, diff)
+        np.sum(terms, axis=-1, out=out[lo:lo + terms.shape[0]])
+
+    blocks = (functools.partial(one_block, lo) for lo in range(0, b, rows))
+    # six passes per element: subtract, square, scale, two adds, sum
+    return PairwiseStart(blocks, p, precision, out).start(b * k * m * 6)
+
+
+def log_normal_diag_pairwise(z: Tensor, p: DiagGaussian,
+                             started: PairwiseStart | None = None) -> Tensor:
     """(B, K) matrix of log N(z_b | mean_k, var_k) as one fused graph node.
 
     Each block's summands come from `_gaussian_terms`, as the plain
@@ -176,37 +218,20 @@ def log_normal_diag_pairwise(z: Tensor, p: DiagGaussian) -> Tensor:
     priors at O(1) graph nodes.
 
     Forward and backward run over blocks of `pairwise_block_rows` rows of z
-    in one reused (rows, K, M) buffer, in the operation order of the
+    in a reused (rows, K, M) buffer per thread, in the operation order of the
     unblocked broadcast, so the bytes are those of the (B, K, M) form; the
     backward recomputes the differences per block instead of keeping them.
-    Inside a `splitting` block the helper thread may claim forward blocks
-    (`ad._shared`), in a buffer of its own.
+    The forward is `start_pairwise(z, p)`, or `started`, that call's handle
+    made earlier, finished here on the calling thread.
     """
-    if z.ndim != 2 or p.mean.ndim != 2:
-        raise DimensionError("pairwise density expects (B, M) rows and "
-                             "(K, M) components")
-    _check_event_dim("log_normal_diag_pairwise", z, p)
-    mean, log_var = p.mean, p.log_var
-    zd, mu, lv = z.data, mean.data, log_var.data
+    started = start_pairwise(z, p) if started is None else started
+    started.finish()
+    out, precision = started.out, started.precision
+    out *= -0.5
+    zd, mu = z.data, p.mean.data
     b, (k, m) = zd.shape[0], mu.shape
     rows = pairwise_block_rows(k, m)
-    precision = np.exp(-lv)                    # (K, M)
     block = (min(rows, b), k, m)
-    out = np.empty((b, k))
-    bufs = [None, None]  # one block buffer per thread (see ad._shared)
-
-    def one_block(i, slot):
-        if bufs[slot] is None:
-            bufs[slot] = np.empty(block)
-        lo = i * rows
-        diff = _pairwise_diff(zd, mu, lo, bufs[slot])
-        terms = _gaussian_terms(diff, lv, precision, diff)
-        np.sum(terms, axis=-1, out=out[lo:lo + terms.shape[0]])
-
-    # the helper's half, at six passes per element: subtract, square,
-    # scale, two adds, sum
-    ad._shared(one_block, -(-b // rows), b // 2 * k * m * 6)
-    out *= -0.5
 
     def grad_fn(g):
         g_z = np.empty_like(zd)
@@ -231,8 +256,8 @@ def log_normal_diag_pairwise(z: Tensor, p: DiagGaussian) -> Tensor:
             g_mean, g_log_var = np.zeros((k, m)), np.zeros((k, m))
         return g_z, g_mean, g_log_var
 
-    return ad.apply_op("normal_logpdf_pairwise", out, (z, mean, log_var),
-                       grad_fn)
+    return ad.apply_op("normal_logpdf_pairwise", out,
+                       (z, p.mean, p.log_var), grad_fn)
 
 
 def sample_reparam(p: DiagGaussian, eps: Tensor) -> Tensor:

@@ -66,8 +66,9 @@ def per_example_log_likelihood(model, data: np.ndarray, s: int, seed: int,
     if data.ndim != 2 or data.shape[0] == 0:
         raise ContractError("need a non-empty (N, D) matrix")
     seqs = np.random.SeedSequence(seed).spawn(data.shape[0])
-    # the large kernels of the calling thread's passes may use the helper
-    # thread; worker threads keep theirs whole
+    # the calling thread's passes may start their prior's density on the
+    # helper thread as soon as z is drawn; worker threads compute theirs
+    # inline
     with splitting():
         frozen_model = with_frozen_prior(model)
 
@@ -240,13 +241,14 @@ class EvalReport:
 
 def evaluate_model(model, test_data: np.ndarray, s: int, seed: int,
                    bins: int = 50, workers: int = 1) -> EvalReport:
-    """Full evaluation pass: IS log-likelihood, diagnostics, histogram."""
+    """Full evaluation pass: active units (no randomness, so a split too
+    small for them fails at once), IS log-likelihood, histogram."""
+    act = active_units(test_data, model)
     lls = per_example_log_likelihood(model, test_data, s, seed,
                                      workers=workers)
     mean_ll = float(lls.mean())
     bpd = None
     if model.spec.likelihood == "logistic":
         bpd = bits_per_dim(mean_ll, model.spec.data_dim)
-    act = active_units(test_data, model)
     hist = ll_histogram(lls, bins)
     return EvalReport(mean_ll, lls, bpd, act.counts, hist, s, seed)

@@ -42,6 +42,7 @@ from .priors import (
     WeightedVampPrior,
     frozen,
     sample_prior,
+    start_log_prob,
 )
 
 LIKELIHOODS = ("bernoulli", "logistic")
@@ -278,8 +279,10 @@ class Vae(Module):
         for _ in range(mc_samples):
             eps = Tensor(rng.standard_normal((x.shape[0], self.spec.latent1)))
             z = sample_reparam(q, eps)
-            samples.append((self.decode(z).log_prob(x), self.prior.log_prob(z),
-                            log_normal_diag(z, q)))
+            with start_log_prob(self.prior, z) as started:
+                samples.append((self.decode(z).log_prob(x),
+                                self.prior.log_prob(z, started),
+                                log_normal_diag(z, q)))
         return _record(samples, (q,), (z,))
 
     def log_importance_weight(self, x, rng) -> np.ndarray:
@@ -349,13 +352,16 @@ class Hvae(Module):
         for _ in range(mc_samples):
             eps2 = Tensor(rng.standard_normal((b, self.spec.latent2)))
             z2 = sample_reparam(q2, eps2)
-            q1 = self.encode_bottom(enc.x_path, z2)
-            eps1 = Tensor(rng.standard_normal((b, self.spec.latent1)))
-            z1 = sample_reparam(q1, eps1)
-            p1 = self.conditional_prior(z2)
-            samples.append((self.decode(z1, z2).log_prob(x),
-                            self.prior.log_prob(z2), log_normal_diag(z1, p1),
-                            log_normal_diag(z2, q2), log_normal_diag(z1, q1)))
+            with start_log_prob(self.prior, z2) as started:
+                q1 = self.encode_bottom(enc.x_path, z2)
+                eps1 = Tensor(rng.standard_normal((b, self.spec.latent1)))
+                z1 = sample_reparam(q1, eps1)
+                p1 = self.conditional_prior(z2)
+                samples.append((self.decode(z1, z2).log_prob(x),
+                                self.prior.log_prob(z2, started),
+                                log_normal_diag(z1, p1),
+                                log_normal_diag(z2, q2),
+                                log_normal_diag(z1, q1)))
         return _record(samples, (q2, q1), (z1, z2))
 
     def log_importance_weight(self, x, rng) -> np.ndarray:

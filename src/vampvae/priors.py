@@ -11,10 +11,13 @@ result exactly invariant to component permutation.
 
 With its parameters fixed, a mixture-of-posteriors prior is a plain mixture
 of Gaussians: `frozen` computes its components once, for evaluation.
+`start_log_prob` starts the density of z as soon as z is drawn, for
+`log_prob(z, started)` to finish.
 """
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +29,7 @@ from .distributions import (
     log_normal_diag_pairwise,
     log_standard_normal,
     sample_reparam,
+    start_pairwise,
 )
 from .errors import ContractError, DimensionError
 
@@ -38,7 +42,7 @@ class StandardGaussian(Module):
     def __init__(self, dim: int):
         self.dim = dim
 
-    def log_prob(self, z: Tensor) -> Tensor:
+    def log_prob(self, z: Tensor, started=None) -> Tensor:
         if z.shape[-1] != self.dim:
             raise DimensionError(f"prior dim {self.dim} != z dim {z.shape[-1]}")
         return log_standard_normal(z)
@@ -71,8 +75,9 @@ class MixtureOfGaussians(Module):
     def components(self) -> DiagGaussian:
         return DiagGaussian(self.means, self.log_vars)
 
-    def log_prob(self, z: Tensor) -> Tensor:
-        return _mixture_log_prob(z, self.components(), self.log_weights)
+    def log_prob(self, z: Tensor, started=None) -> Tensor:
+        comps = self.components() if started is None else started.p
+        return _mixture_log_prob(z, comps, self.log_weights, started)
 
 
 class VampPrior(Module):
@@ -118,7 +123,7 @@ class VampPrior(Module):
     def _log_weights(self):
         return None
 
-    def log_prob(self, z: Tensor) -> Tensor:
+    def log_prob(self, z: Tensor, started=None) -> Tensor:
         return _mixture_log_prob(z, self._recorded_components(),
                                  self._log_weights())
 
@@ -180,20 +185,32 @@ class WeightedVampPrior(VampPrior):
 
 
 def _mixture_log_prob(z: Tensor, comps: DiagGaussian,
-                      log_weights: Tensor | None) -> Tensor:
-    """log sum_k w_k N(z | mu_k, var_k) for a batch of rows z."""
+                      log_weights: Tensor | None, started=None) -> Tensor:
+    """log sum_k w_k N(z | mu_k, var_k) for a batch of rows z, with the
+    pairwise density's forward `started` earlier, if given."""
     if z.ndim != 2:
         raise DimensionError(f"mixture log_prob expects a (B, M) batch, got "
                              f"{z.shape}")
     k, m = comps.mean.shape
     if z.shape[1] != m:
         raise DimensionError(f"latent dim {z.shape[1]} != component dim {m}")
-    mat = log_normal_diag_pairwise(z, comps)
+    mat = log_normal_diag_pairwise(z, comps, started)
     if log_weights is None:
         # same arithmetic as the weighted path so uniform logits reproduce
         # the unweighted density bitwise
         log_weights = Tensor(np.full(k, -np.log(float(k))))
     return ad.add(mat, log_weights).logsumexp(axis=1)
+
+
+def start_log_prob(prior, z: Tensor):
+    """A context manager yielding the handle of `prior`'s density of z,
+    started ahead of `log_prob(z, started)`, and ending it if that is not
+    reached: an unrecorded mixture of Gaussians starts its pairwise density
+    (`start_pairwise`); any other prior, or any prior while a graph
+    records, yields None."""
+    if isinstance(prior, MixtureOfGaussians) and not ad.recording():
+        return start_pairwise(z, prior.components())
+    return contextlib.nullcontext()
 
 
 def frozen(prior):

@@ -158,16 +158,13 @@ def step(params: dict[str, Tensor], opt: AdamState, lr: float,
             np.add(s, opt.eps, out=s)
             wc -= np.divide(g, s, out=g)
 
-    def idle_helper(fn):
-        return ad._helper.submit(fn, if_idle=True)
-
     with ad._Claims() as claims:
         def final(p: Tensor) -> None:
             name = names.pop(p, None)
             if name is None:
                 return
             claims.add(lambda slot: update(p, name, slot))
-            if not (beside and claims.offer(idle_helper)):
+            if not (beside and claims.offer()):
                 claims.run()
 
         if loss is not None:
@@ -248,6 +245,12 @@ def prepare_validation(val: np.ndarray, config: TrainConfig,
     return val_set, val_eval_seq, train_seq
 
 
+def check_splits(train: np.ndarray, val: np.ndarray) -> None:
+    """The splits `fit` needs, checked before a model is built from them."""
+    if len(train) == 0 or len(val) == 0:
+        raise ContractError("fit requires non-empty train and val splits")
+
+
 def fit(train: np.ndarray, val: np.ndarray, model, config: TrainConfig,
         binarization: str = "none") -> TrainLog:
     """Run the training loop with early stopping on the validation ELBO.
@@ -258,8 +261,7 @@ def fit(train: np.ndarray, val: np.ndarray, model, config: TrainConfig,
     """
     train = np.asarray(train, dtype=np.float64)
     val = np.asarray(val, dtype=np.float64)
-    if train.shape[0] == 0 or val.shape[0] == 0:
-        raise ContractError("fit requires non-empty train and val splits")
+    check_splits(train, val)
     if binarization not in ("none", "dynamic"):
         raise ContractError(f"unknown binarization mode '{binarization}'")
 

@@ -10,9 +10,11 @@ the order.
 The package's helper thread is a daemon and outlives the test that starts
 it; a thread that is not a daemon and is still running when its test ends
 would keep the interpreter from exiting. A call the helper still has
-pending a short while after its test ends (a branch replay, a kernel's
-share or an Adam update the test leaked) fails that test too, before it
-can hold the helper busy for the next one.
+pending a short while after its test ends (a branch replay, a started
+density's blocks or an Adam update the test leaked) fails that test too,
+before it can hold the helper busy for the next one. So does a forward
+kernel started (`autodiff._Claims.start`) and never finished or ended,
+at once: its blocks would drain within the grace and pass unnoticed.
 """
 
 import sys
@@ -42,8 +44,26 @@ def no_thread_left_running():
 
 
 @pytest.fixture(autouse=True)
-def no_helper_call_left_pending():
+def no_helper_call_left_pending(monkeypatch):
+    unended = []  # a token per started claims not yet ended
+    start, end = autodiff._Claims.start, autodiff._Claims.__exit__
+
+    def counted_start(claims, work):
+        claims.unended = object()
+        unended.append(claims.unended)
+        return start(claims, work)
+
+    def counted_end(claims, *exc):
+        token = vars(claims).pop("unended", None)
+        if token is not None:
+            unended.remove(token)
+        return end(claims, *exc)
+
+    monkeypatch.setattr(autodiff._Claims, "start", counted_start)
+    monkeypatch.setattr(autodiff._Claims, "__exit__", counted_end)
     yield
+    if unended:
+        pytest.fail(f"test left {len(unended)} started kernel(s) unfinished")
     deadline = time.monotonic() + HELPER_GRACE_S
     while autodiff._helper._pending and time.monotonic() < deadline:
         time.sleep(0.001)

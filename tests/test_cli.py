@@ -6,12 +6,13 @@ import signal
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from vampvae import cli
+from vampvae import cli, evaluation
 from vampvae.datasets import save_raw_matrix
 from vampvae.models import (
     ModelSpec,
@@ -125,6 +126,21 @@ class TestOutOfMemory:
         assert message in err
 
 
+@pytest.mark.parametrize("prior", ["sg", "vamp"])
+def test_an_empty_training_split_fails_before_the_model_is_built(
+        tmp_path, capsys, prior):
+    argv = (["train", "--dataset", "synth", "--synth-n", "1", "--synth-dim",
+             "16", "--synth-k", "2"] + TINY_MODEL
+            + ["--prior", prior, "--outdir", str(tmp_path / "out")])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(argv) == 1
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == (
+        "error: fit requires non-empty train and val splits\n")
+    assert not (tmp_path / "out").exists()
+
+
 class TestHelp:
     def test_top_level_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -200,6 +216,23 @@ class TestEvaluate:
         assert hist_lines[0] == "bin_left,bin_right,count"
         assert len(hist_lines) == 6
         assert "mean test LL" in capsys.readouterr().out
+
+    def test_a_one_row_test_split_fails_before_the_is_run(
+            self, trained, tmp_path, monkeypatch, capsys):
+        def scored(*args, **kwargs):
+            raise AssertionError("the IS run started")
+
+        monkeypatch.setattr(evaluation, "per_example_log_likelihood", scored)
+        out = tmp_path / "eval"
+        # 3 synthetic rows leave one test row
+        argv = (["evaluate", "--checkpoint",
+                 str(trained / "checkpoint_best.ckpt"), "--dataset", "synth",
+                 "--synth-n", "3", "--synth-dim", "16", "--synth-k", "2",
+                 "--outdir", str(out)])
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == "error: active_units needs at least two data points\n"
+        assert not out.exists()
 
     def test_single_sample_note(self, trained, tmp_path, capsys):
         out = tmp_path / "eval1"

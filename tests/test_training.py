@@ -346,8 +346,7 @@ class TestStepClaims:
             for i in range(2):
                 claims.add(lambda slot, i=i: ran.append(
                     (i, threading.current_thread())))
-                assert claims.offer(
-                    lambda fn: ad._helper.submit(fn, if_idle=True))
+                assert claims.offer()
                 deadline = time.monotonic() + 10
                 while len(ran) <= i or ad._helper._pending:
                     assert time.monotonic() < deadline
