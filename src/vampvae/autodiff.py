@@ -51,18 +51,19 @@ it passes each leaf to the graph's `on_final` callback, when one is set,
 once its gradient is complete (`training.step` applies Adam there).
 
 The same helper also computes the pairwise Gaussian density of
-`distributions` beside the rest of an evaluation pass, inside a
-`splitting` block, when it is idle: the density's row blocks are units of
-`_Claims`, offered to the helper (`_Claims.start`) as soon as z is drawn,
-and the helper claims them one at a time while the calling thread runs
-the rest of the pass. Where the density is recorded, the caller claims the
-blocks left (`_Claims.finish`) and waits only for the block the helper
-holds, so a helper whose core is busy elsewhere costs at most one block.
-Every op stays on the calling thread; the helper runs numpy calls only,
-and each row is computed by the same calls as inline, so the bytes do not
-depend on which thread ran a block. `training.step` claims its Adam
-updates the same way, each queued once `backward` passes its parameter
-on as final.
+`distributions` beside the rest of an unrecorded pass (see `priors`), when
+it is idle: the density's row blocks are units of `_Claims`, offered to the
+helper as soon as z is drawn, and the helper claims them one at a time
+while the calling thread runs the rest of the pass. Where the density is
+recorded, the caller claims the blocks left (`_Claims.finish`) and waits
+only for the block the helper holds, so a helper whose core is busy
+elsewhere costs at most one block. Every op stays on the calling thread;
+the helper runs numpy calls only, and each row is computed by the same
+calls as inline, so the bytes do not depend on which thread ran a block.
+`training.step` claims its Adam updates the same way, each queued once
+`backward` passes its parameter on as final. A process allowed one CPU
+hands the helper nothing: the caller runs every unit and every branch
+itself.
 
 Broadcasting is deliberately narrow: two operands are compatible when their
 shapes are equal or one shape is a trailing suffix of the other (the smaller
@@ -72,7 +73,6 @@ always accepted. Nothing wider is supported.
 
 from __future__ import annotations
 
-import contextlib
 import os
 import queue
 import threading
@@ -185,13 +185,12 @@ class _Helper:
     daemon thread, started on first use, and idle between calls; no option
     governs it. Three kinds of call reach it: the branch replays of
     `backward`, which queue; the claiming of a started density's blocks
-    (`_Claims.start`), which starts only on an idle helper, so a density
-    never waits behind a replay; and the claiming of a training step's
-    Adam updates, which `training.step` also starts only on an idle
-    helper, so an update never waits behind a replay either. A call
-    withdrawn before it starts no longer counts as pending. A forked child
-    starts from a fresh helper: the parent's thread does not exist there,
-    and a call it had pending would hold the helper busy for good."""
+    and of a training step's Adam updates (`_Claims.offer`), which starts
+    only on an idle helper, so neither waits behind a replay. In a process
+    allowed one CPU it takes no call at all. A call withdrawn before it
+    starts no longer counts as pending. A forked child starts from a fresh
+    helper: the parent's thread does not exist there, and a call it had
+    pending would hold the helper busy for good."""
 
     def __init__(self):
         self._reset()
@@ -206,9 +205,12 @@ class _Helper:
 
     def submit(self, fn: Callable[[], object],
                if_idle: bool = False) -> futures.Future | None:
-        """Queue `fn`; with `if_idle`, only when no call is pending, else
+        """Queue `fn`; with `if_idle`, only when no call is pending, and in
+        any case only where the process may use two or more CPUs, else
         return None. Code running on the helper is inside a pending call, so
         it never hands work to itself."""
+        if _usable_cpus() == 1:
+            return None
         with self._lock:
             if if_idle and self._pending:
                 return None
@@ -259,48 +261,21 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-# Work below which a started kernel leaves its units to the calling thread,
-# in elementwise passes over one float64 (six per element of the pairwise
-# density's (B, K, M) broadcast). Beside a stand-in decoder at K=500, M=40
-# (medians of 200 alternating pairs, two cores), densities of 20 rows (2.4M,
-# a desk S=20 chunk), 67 and 80 rows took 2.0, 5.6 and 6.6 ms started, 2.0,
-# 5.2 and 6.3 inline: the helper's wake-up and cache traffic outweigh them.
-# 100 rows (12M) took 5.4 against 7.6, and a paper IS chunk has 500 (60M).
-BESIDE_MIN_WORK = 12_000_000
-
-
-@contextlib.contextmanager
-def splitting():
-    """A block in which the calling thread's unrecorded passes may start
-    a large forward kernel on the helper thread (`_Claims.start`): the
-    pairwise mixture density, started as soon as z is drawn and finished
-    where the prior's log-density is taken. Only
-    `evaluation.per_example_log_likelihood` opens one, on its calling
-    thread: a recorded pass starts nothing (see `priors`), the training
-    steps after a validation pass that shared its kernels measured slower
-    by what the sharing saved, and evaluation's worker threads already
-    occupy the cores."""
-    outer = getattr(_state, "splitting", False)
-    _state.splitting = True
-    try:
-        yield
-    finally:
-        _state.splitting = outer
-
-
 class _Claims:
     """Units of work, each a function of a slot, claimed one at a time in
     the order they were added by the calling thread (slot 0) and the helper
     (slot 1), so each runs once, on the first thread to claim it.
 
-    The caller adds units and may start the helper claiming (`offer`, or
-    `start` for a forward kernel); the helper claims until none is left,
-    and a unit added after that needs another `offer`. After an error no
-    unit is claimed. `finish` runs the units left on the calling thread and
-    ends the claims, as leaving a ``with`` block does without running them:
-    a helper call not yet started is withdrawn, so the caller never waits
-    for a unit the helper has not started; the running one is waited for,
-    and its error raised unless the block raises its own."""
+    The caller adds units and may start the helper claiming (`offer`,
+    refused on a busy helper and on one CPU); the helper claims until none
+    is left, and a unit added after that needs another `offer`. The units
+    run numpy calls only: no op, span or tape node is ever made on the
+    helper. After an error no unit is claimed. `finish` runs the units left
+    on the calling thread and ends the claims, as leaving a ``with`` block
+    does without running them: a helper call not yet started is withdrawn,
+    so the caller never waits for a unit the helper has not started; the
+    running one is waited for, and its error raised unless the block raises
+    its own."""
 
     def __init__(self, units: Iterable[Callable[[int], object]] = ()):
         self._units = list(units)
@@ -365,15 +340,6 @@ class _Claims:
             else:
                 self._task = task
         return task is not None
-
-    def start(self, work: int) -> "_Claims":
-        """`offer`, in a `splitting` block on more than one CPU when the
-        work is at least BESIDE_MIN_WORK; self. The units run numpy calls
-        only: no op, span or tape node is ever made on the helper."""
-        if (work >= BESIDE_MIN_WORK and getattr(_state, "splitting", False)
-                and _usable_cpus() > 1):
-            self.offer()
-        return self
 
     def finish(self) -> None:
         """Run the units left on the calling thread, then end the claims."""
@@ -465,11 +431,14 @@ class Branch:
 
     def _submit_replay(self) -> bool:
         """Replay the branch on the helper from the gradients its join
-        nodes received; False, with nothing submitted, if none did."""
+        nodes received, True; False if none did, or, after replaying it on
+        the calling thread, if the helper refused it."""
         if not any(g is not None for g in self.grads):
             return False
         self.task = _helper.submit(self._replay)
-        return True
+        if self.task is None:
+            self._replay()
+        return self.task is not None
 
     def _end(self) -> None:
         if self.task is not None:
@@ -1045,9 +1014,8 @@ def backward(root: Tensor) -> None:
     after the replay, in the same order, where interleaving the callback's
     work with the replay only measured slower.
 
-    A process allowed one CPU replays its branches on the calling thread,
-    each where a single tape would have: there the helper only added
-    thread switches and measured slower.
+    A process allowed one CPU replays its branches on the calling thread
+    (the helper refuses them), each where a single tape would have.
     """
     if not isinstance(root, Tensor) or root.node is None:
         raise ContractError("backward root must be produced inside a Graph")
@@ -1076,8 +1044,7 @@ def backward(root: Tensor) -> None:
     running: list[Branch] = []  # replaying on the helper, oldest first
     shared: set[Tensor] = set()  # the leaves they reach
     held: list[Tensor] = []  # final leaves passed on after the replay
-    overlapped = _usable_cpus() > 1
-    pass_on = on_final if overlapped else held.append
+    pass_on = on_final if _usable_cpus() > 1 else held.append
 
     def finish(index):
         for leaf in finals.pop(index, ()):
@@ -1097,9 +1064,7 @@ def backward(root: Tensor) -> None:
 
     def passed(node):
         branch = joins.get(node.index)
-        if branch is not None and not overlapped:
-            branch._replay()  # here, where the single tape replays it
-        elif branch is not None and branch._submit_replay():
+        if branch is not None and branch._submit_replay():
             running.append(branch)
             shared.update(branch.leaves)
             return

@@ -269,6 +269,17 @@ def _fixed_test_binarization(dataset: ds_mod.Dataset, seed: int) -> np.ndarray:
     return training.dynamic_binarize(dataset.test, rng)
 
 
+def _checkpoint_and_test(args) -> tuple:
+    """The checkpoint's model and the dataset's test split, binarized as
+    evaluation fixes it; the split's width must be the model's."""
+    model = load_checkpoint(args.checkpoint)
+    dataset = load_dataset(args)
+    if dataset.dim != model.spec.data_dim:
+        raise VampVaeError(f"dataset dim {dataset.dim} does not match "
+                           f"checkpoint dim {model.spec.data_dim}")
+    return model, _fixed_test_binarization(dataset, args.seed)
+
+
 def cmd_train(args) -> int:
     started = time.monotonic()
     dataset = load_dataset(args)
@@ -300,9 +311,7 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args, parser: argparse.ArgumentParser) -> int:
     workers = _workers(parser)
-    model = load_checkpoint(args.checkpoint)
-    dataset = load_dataset(args)
-    test = _fixed_test_binarization(dataset, args.seed)
+    model, test = _checkpoint_and_test(args)
     report = evaluation.evaluate_model(model, test, s=args.is_samples,
                                        seed=args.seed, bins=args.bins,
                                        workers=workers)
@@ -331,16 +340,11 @@ def cmd_generate(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
-    model = load_checkpoint(args.checkpoint)
-    dataset = load_dataset(args)
-    if dataset.dim != model.spec.data_dim:
-        raise VampVaeError(f"dataset dim {dataset.dim} does not match "
-                           f"checkpoint dim {model.spec.data_dim}")
-    test = _fixed_test_binarization(dataset, args.seed)
+    model, test = _checkpoint_and_test(args)
     rows = test[:args.n]
     recon = reconstruct(rows, model, np.random.default_rng(args.seed))
     out = _outdir(args)
-    pgm.write_side_by_side(rows, recon, pgm.tile_shape(dataset.dim),
+    pgm.write_side_by_side(rows, recon, pgm.tile_shape(model.spec.data_dim),
                            out / "reconstructions.pgm")
     print(f"wrote {rows.shape[0]} reconstructions to "
           f"{out / 'reconstructions.pgm'}")

@@ -16,8 +16,8 @@ function, `_gaussian_terms`, and `log_bernoulli` takes its softplus and
 sigmoid from `autodiff`, the functions the chain's `softplus` and
 `sigmoid` nodes run. Bernoulli targets are data: they have the logits'
 shape and take no gradient. The pairwise density's forward can start
-before its node is recorded (`start_pairwise`), so that evaluation runs it
-on the helper thread beside the rest of its pass.
+before its node is recorded (`start_pairwise`), so that an unrecorded pass
+can offer it to the helper thread beside the rest of that pass.
 """
 
 from __future__ import annotations
@@ -172,18 +172,28 @@ def _accumulate_rows(acc: np.ndarray | None, block: np.ndarray) -> np.ndarray:
 
 class PairwiseStart(ad._Claims):
     """`log_normal_diag_pairwise(z, p)`'s forward under way: its row blocks
-    as claims, the components `p`, their precision and the output."""
+    as claims, the components `p`, their precision and the output. Each
+    thread that claims a block works in a block buffer of its own, dropped
+    as soon as that thread finds no block left."""
 
     def __init__(self, blocks, p: DiagGaussian, precision: np.ndarray,
-                 out: np.ndarray):
+                 out: np.ndarray, bufs: list):
         super().__init__(blocks)
         self.p, self.precision, self.out = p, precision, out
+        self._bufs = bufs
+
+    def run(self, slot: int = 0) -> None:
+        try:
+            super().run(slot)
+        finally:
+            self._bufs[slot] = None
 
 
 def start_pairwise(z: Tensor, p: DiagGaussian) -> PairwiseStart:
-    """Start `log_normal_diag_pairwise(z, p)`'s forward: in a `splitting`
-    block an idle helper claims its row blocks one at a time from now on,
-    in a block buffer of its own (`ad._Claims.start`). Pass the handle to
+    """Prepare `log_normal_diag_pairwise(z, p)`'s forward: its row blocks
+    run on the calling thread when the handle is passed to
+    `log_normal_diag_pairwise`, unless `offer()` first hands them to an idle
+    helper, which then claims them one at a time. Pass the handle to
     `log_normal_diag_pairwise`, or leave a ``with`` block on it to end it."""
     if z.ndim != 2 or p.mean.ndim != 2:
         raise DimensionError("pairwise density expects (B, M) rows and "
@@ -204,8 +214,7 @@ def start_pairwise(z: Tensor, p: DiagGaussian) -> PairwiseStart:
         np.sum(terms, axis=-1, out=out[lo:lo + terms.shape[0]])
 
     blocks = (functools.partial(one_block, lo) for lo in range(0, b, rows))
-    # six passes per element: subtract, square, scale, two adds, sum
-    return PairwiseStart(blocks, p, precision, out).start(b * k * m * 6)
+    return PairwiseStart(blocks, p, precision, out, bufs)
 
 
 def log_normal_diag_pairwise(z: Tensor, p: DiagGaussian,
@@ -222,7 +231,8 @@ def log_normal_diag_pairwise(z: Tensor, p: DiagGaussian,
     unblocked broadcast, so the bytes are those of the (B, K, M) form; the
     backward recomputes the differences per block instead of keeping them.
     The forward is `start_pairwise(z, p)`, or `started`, that call's handle
-    made earlier, finished here on the calling thread.
+    made (and perhaps offered) earlier, finished here on the calling
+    thread.
     """
     started = start_pairwise(z, p) if started is None else started
     started.finish()

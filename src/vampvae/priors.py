@@ -11,8 +11,9 @@ result exactly invariant to component permutation.
 
 With its parameters fixed, a mixture-of-posteriors prior is a plain mixture
 of Gaussians: `frozen` computes its components once, for evaluation.
-`start_log_prob` starts the density of z as soon as z is drawn, for
-`log_prob(z, started)` to finish.
+`start_log_prob` offers an unrecorded mixture's density of z to the idle
+helper thread as soon as z is drawn, for `log_prob(z, started)` to finish;
+a recorded (training) pass keeps it on the calling thread.
 """
 
 from __future__ import annotations
@@ -205,11 +206,13 @@ def _mixture_log_prob(z: Tensor, comps: DiagGaussian,
 def start_log_prob(prior, z: Tensor):
     """A context manager yielding the handle of `prior`'s density of z,
     started ahead of `log_prob(z, started)`, and ending it if that is not
-    reached: an unrecorded mixture of Gaussians starts its pairwise density
-    (`start_pairwise`); any other prior, or any prior while a graph
-    records, yields None."""
+    reached: an unrecorded mixture of Gaussians offers its pairwise density
+    (`start_pairwise`) to the helper thread; any other prior, or any prior
+    while a graph records, yields None."""
     if isinstance(prior, MixtureOfGaussians) and not ad.recording():
-        return start_pairwise(z, prior.components())
+        started = start_pairwise(z, prior.components())
+        started.offer()
+        return started
     return contextlib.nullcontext()
 
 

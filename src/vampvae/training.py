@@ -123,7 +123,6 @@ def step(params: dict[str, Tensor], opt: AdamState, lr: float,
     # per slot of the claims (the caller's, the helper's); made by that
     # thread's first update, not before
     scratch: list[list[np.ndarray]] = [[], []]
-    beside = ad._usable_cpus() > 1
 
     def update(p: Tensor, name: str, slot: int) -> None:
         if not scratch[slot]:
@@ -164,7 +163,7 @@ def step(params: dict[str, Tensor], opt: AdamState, lr: float,
             if name is None:
                 return
             claims.add(lambda slot: update(p, name, slot))
-            if not (beside and claims.offer()):
+            if not claims.offer():
                 claims.run()
 
         if loss is not None:

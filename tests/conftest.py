@@ -12,9 +12,12 @@ it; a thread that is not a daemon and is still running when its test ends
 would keep the interpreter from exiting. A call the helper still has
 pending a short while after its test ends (a branch replay, a started
 density's blocks or an Adam update the test leaked) fails that test too,
-before it can hold the helper busy for the next one. So does a forward
-kernel started (`autodiff._Claims.start`) and never finished or ended,
-at once: its blocks would drain within the grace and pass unnoticed.
+before it can hold the helper busy for the next one. So do claims offered
+to the helper (`autodiff._Claims.offer`) and never finished or ended, at
+once: their units would drain within the grace and pass unnoticed.
+
+The `cpus` fixture runs a test as on one usable CPU, where the helper
+takes no call and the calling thread runs everything, and as on two.
 """
 
 import sys
@@ -43,15 +46,22 @@ def no_thread_left_running():
         pytest.fail(f"test left non-daemon threads running: {left}")
 
 
+@pytest.fixture(params=[1, 2], ids=["one-cpu", "two-cpus"])
+def cpus(request, monkeypatch):
+    monkeypatch.setattr(autodiff, "_usable_cpus", lambda: request.param)
+    return request.param
+
+
 @pytest.fixture(autouse=True)
 def no_helper_call_left_pending(monkeypatch):
-    unended = []  # a token per started claims not yet ended
-    start, end = autodiff._Claims.start, autodiff._Claims.__exit__
+    unended = []  # a token per offered claims not yet ended
+    offer, end = autodiff._Claims.offer, autodiff._Claims.__exit__
 
-    def counted_start(claims, work):
-        claims.unended = object()
-        unended.append(claims.unended)
-        return start(claims, work)
+    def counted_offer(claims):
+        if "unended" not in vars(claims):
+            claims.unended = object()
+            unended.append(claims.unended)
+        return offer(claims)
 
     def counted_end(claims, *exc):
         token = vars(claims).pop("unended", None)
@@ -59,11 +69,11 @@ def no_helper_call_left_pending(monkeypatch):
             unended.remove(token)
         return end(claims, *exc)
 
-    monkeypatch.setattr(autodiff._Claims, "start", counted_start)
+    monkeypatch.setattr(autodiff._Claims, "offer", counted_offer)
     monkeypatch.setattr(autodiff._Claims, "__exit__", counted_end)
     yield
     if unended:
-        pytest.fail(f"test left {len(unended)} started kernel(s) unfinished")
+        pytest.fail(f"test left {len(unended)} offered claims unended")
     deadline = time.monotonic() + HELPER_GRACE_S
     while autodiff._helper._pending and time.monotonic() < deadline:
         time.sleep(0.001)

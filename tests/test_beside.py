@@ -1,10 +1,12 @@
-"""Tests of the pairwise mixture density that evaluation starts on the
-helper thread as soon as z is drawn (`distributions.start_pairwise`, whose
-row blocks are `autodiff._Claims`) inside an `autodiff.splitting` block:
-it keeps the bits of the inline path, makes every op, span and tape node
-on the calling thread, raises errors as the inline path does, runs no
-block once its pass has failed, and leaves the helper usable after an
-error or a fork."""
+"""Tests of the pairwise mixture density that an unrecorded pass offers to
+the idle helper thread as soon as z is drawn (`priors.start_log_prob`, a
+`distributions.start_pairwise` handle whose row blocks are
+`autodiff._Claims`): it keeps the bits of the inline path, makes every op,
+span and tape node on the calling thread, raises errors as the inline path
+does, runs no block once its pass has failed, frees its buffers early, and
+leaves the helper usable after an error or a fork. A recorded pass never
+offers its density, and a process allowed one CPU hands the helper
+nothing."""
 
 import gc
 import os
@@ -25,7 +27,7 @@ from test_paper_bytes import SPEC
 from vampvae import autodiff as ad
 from vampvae import distributions as dist
 from vampvae import models, priors, training
-from vampvae.autodiff import Graph, Tensor
+from vampvae.autodiff import Branch, Graph, Tensor
 from vampvae.distributions import DiagGaussian
 from vampvae.errors import NumericError
 from vampvae.evaluation import per_example_log_likelihood
@@ -35,44 +37,23 @@ class _Seen(list):
     hook = None
 
 
-@pytest.fixture(params=[1, 2], ids=["one-cpu", "two-cpus"])
-def cpus(request, monkeypatch):
-    """The test runs as on one usable CPU, where every block of a started
-    density runs on the calling thread when it is finished, and as on two,
-    where the helper may claim blocks from the start on."""
-    monkeypatch.setattr(ad, "_usable_cpus", lambda: request.param)
-    return request.param
-
-
 @pytest.fixture
 def handoffs(monkeypatch):
-    """The claims `_Claims.start` handed to the helper, each with the
-    thread that started it as `caller`."""
-    started = []
-    real = ad._Claims.start
+    """The densities the helper accepted (`_Claims.offer`), each with the
+    thread that offered it as `caller`."""
+    offered = []
+    real = ad._Claims.offer
 
-    def counted(claims, work):
-        real(claims, work)
-        if claims._task is not None:
+    def counted(claims):
+        accepted = real(claims)
+        if (accepted and isinstance(claims, dist.PairwiseStart)
+                and claims not in offered):
             claims.caller = threading.current_thread()
-            started.append(claims)
-        return claims
+            offered.append(claims)
+        return accepted
 
-    monkeypatch.setattr(ad._Claims, "start", counted)
-    return started
-
-
-@pytest.fixture
-def split():
-    """The test runs inside a `splitting` block, as evaluation does."""
-    with ad.splitting():
-        yield
-
-
-@pytest.fixture
-def no_floor(monkeypatch):
-    """Any work that is not empty goes to the helper when it can."""
-    monkeypatch.setattr(ad, "BESIDE_MIN_WORK", 1)
+    monkeypatch.setattr(ad._Claims, "offer", counted)
+    return offered
 
 
 @pytest.fixture
@@ -105,6 +86,13 @@ def _inline(z, p):
     return dist.log_normal_diag_pairwise(z, p).data
 
 
+def _offered(z, p):
+    """`start_pairwise(z, p)`, offered to the helper."""
+    started = dist.start_pairwise(z, p)
+    started.offer()
+    return started
+
+
 def _wait_until(condition, timeout=10.0):
     deadline = time.monotonic() + timeout
     while not condition():
@@ -112,11 +100,18 @@ def _wait_until(condition, timeout=10.0):
         time.sleep(0.001)
 
 
-def _started_units(*fns):
-    """Claims of one unit per function, started as a kernel above the
-    floor."""
-    return ad._Claims(lambda slot, fn=fn: fn() for fn in fns).start(
-        ad.BESIDE_MIN_WORK)
+def _offered_units(*fns):
+    """Claims of one unit per function, offered to the helper."""
+    claims = ad._Claims(lambda slot, fn=fn: fn() for fn in fns)
+    claims.offer()
+    return claims
+
+
+def _inline_bits(fn, monkeypatch):
+    """fn() as on one usable CPU, where every density runs inline."""
+    with monkeypatch.context() as m:
+        m.setattr(ad, "_usable_cpus", lambda: 1)
+        return fn()
 
 
 class TestSameBits:
@@ -125,7 +120,7 @@ class TestSameBits:
 
     @pytest.mark.parametrize("size", ["1", "rows-1", "rows", "rows+1",
                                       "7-blocks", "500"])
-    def test_pairwise_density(self, cpus, handoffs, no_floor, size):
+    def test_pairwise_density(self, cpus, handoffs, size):
         rows = dist.pairwise_block_rows(self.K, self.M)
         b = {"1": 1, "rows-1": rows - 1, "rows": rows, "rows+1": rows + 1,
              "7-blocks": 7 * rows - 1, "500": 500}[size]
@@ -142,119 +137,165 @@ class TestSameBits:
             got = (out.data, *out.node.grad_fn(g))
         for a, w in zip(got, _unblocked_pairwise(z, mean, log_var, g)):
             assert_same_bits(a, w)
-        assert handoffs == []  # outside a splitting block
+        assert handoffs == []  # a direct call offers nothing
         p = DiagGaussian(Tensor(mean), Tensor(log_var))
-        with ad.splitting():
-            with dist.start_pairwise(Tensor(z), p) as started:
-                plain = dist.log_normal_diag_pairwise(Tensor(z), p, started)
+        with _offered(Tensor(z), p) as started:
+            plain = dist.log_normal_diag_pairwise(Tensor(z), p, started)
         assert_same_bits(plain.data, got[0])
         assert len(handoffs) == (1 if cpus == 2 else 0)
 
     def test_evaluation_workers_give_the_same_bits(self, cpus, handoffs,
                                                    monkeypatch):
-        # one worker runs on the calling thread and starts its densities;
-        # worker threads compute theirs inline
+        # the calling thread and worker threads alike offer their
+        # densities; whichever finds the helper idle hands one over
         data = np.random.default_rng(6).integers(0, 2, (6, 4)).astype(float)
         interval = sys.getswitchinterval()
         for levels in (1, 2):
             model = tiny_model(levels, "vamp", seed=4)
-            monkeypatch.setattr(ad, "BESIDE_MIN_WORK", float("inf"))
-            serial = per_example_log_likelihood(model, data, 30, seed=2,
-                                                chunk_size=12)
+            serial = _inline_bits(lambda: per_example_log_likelihood(
+                model, data, 30, seed=2, chunk_size=12), monkeypatch)
             assert handoffs == []
-            monkeypatch.setattr(ad, "BESIDE_MIN_WORK", 1)
             sys.setswitchinterval(1e-6)
             try:
                 for workers in (1, 2, 3):
                     assert_same_bits(per_example_log_likelihood(
                         model, data, 30, seed=2, workers=workers,
                         chunk_size=12), serial)
-                    assert {c.caller for c in handoffs} == (
-                        {threading.main_thread()} if cpus == 2 else set())
+                    callers = {c.caller for c in handoffs}
+                    if cpus == 1:
+                        assert callers == set()
+                    elif workers == 1:
+                        assert callers == {threading.main_thread()}
+                    else:
+                        assert callers and threading.main_thread() \
+                            not in callers
+                    handoffs.clear()
             finally:
                 sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("prior", ["vamp", "mog", "sg"])
+    def test_validation_may_start_its_density(self, cpus, handoffs, prior,
+                                              monkeypatch):
+        data = np.random.default_rng(6).integers(0, 2, (40, 4)).astype(float)
+        for levels in (1, 2):
+            model = tiny_model(levels, prior, seed=4)
+            want = _inline_bits(lambda: training.validation_elbo(
+                model, data, np.random.default_rng(1), batch_size=10),
+                monkeypatch)
+            got = training.validation_elbo(model, data,
+                                           np.random.default_rng(1),
+                                           batch_size=10)
+            assert got == want
+            # one density per batch, none for the sg prior
+            assert len(handoffs) == (4 if cpus == 2 and prior != "sg"
+                                     else 0)
             handoffs.clear()
 
-    def test_training_and_validation_keep_their_kernels_whole(
-            self, handoffs, no_floor, monkeypatch):
+    def test_a_20_row_chunk_may_start_its_density(self, cpus, handoffs,
+                                                  blocks):
+        # a desk S=20 chunk at K=500, M=40: five blocks of four rows
+        z, p = _density(20)
+        want = _inline(z, p)
+        blocks.clear()
+        with _offered(z, p) as started:
+            got = dist.log_normal_diag_pairwise(z, p, started)
+        assert_same_bits(got.data, want)
+        assert len(handoffs) == (1 if cpus == 2 else 0)
+        assert len(blocks) == 5
+
+    @pytest.mark.parametrize("prior", ["vamp", "mog"])
+    def test_a_recorded_step_never_offers_its_density(self, handoffs, prior,
+                                                      monkeypatch):
         monkeypatch.setattr(ad, "_usable_cpus", lambda: 2)
         data = np.random.default_rng(6).integers(0, 2, (40, 4)).astype(float)
-        config = training.TrainConfig(max_epochs=2, batch_size=10,
-                                      warmup_epochs=0, seed=1)
-        # training and validation start no density, nor do the sg prior
-        # and evaluation's worker threads
-        for prior in ("vamp", "mog", "sg"):
-            model = tiny_model(2, prior, seed=4)
+        for levels in (1, 2):
+            model = tiny_model(levels, prior, seed=4)
             frozen = models.with_frozen_prior(model)
             # the start hook starts nothing while a graph records
-            with ad.splitting(), Graph():
+            with Graph():
                 with priors.start_log_prob(frozen.prior,
                                            Tensor(data[:10, :2])) as started:
                     assert started is None
-            training.fit(data[:30], data[30:], model, config, "dynamic")
-            per_example_log_likelihood(model, data[:2], 30, seed=2,
-                                       workers=2, chunk_size=12)
+            params = {k: p for k, p in model.parameters().items()
+                      if p.requires_grad}
+            opt = training.AdamState(params)
+            rng = np.random.default_rng(1)
+            for lo in range(0, 40, 10):
+                with Graph():
+                    loss = training.objective(data[lo:lo + 10], model, 1.0,
+                                              rng)
+                    training.step(params, opt, 1e-2, loss)
             assert handoffs == []
-            per_example_log_likelihood(model, data[:2], 30, seed=2,
-                                       chunk_size=12)
-            assert bool(handoffs) == (prior != "sg")
-            handoffs.clear()
 
-    @pytest.mark.parametrize("b,split", [(100, True), (99, False)],
-                             ids=["above-the-floor", "below-the-floor"])
-    def test_the_floor_keeps_small_work_inline(self, cpus, handoffs, blocks,
-                                               b, split):
-        # at K=500, M=40 a density of 100 rows or more starts on the
-        # helper; an S=20 chunk's does not
-        z, p = _density(b)
-        assert (b * self.K * self.M * 6 >= ad.BESIDE_MIN_WORK) == split
-        with ad.splitting():
-            with dist.start_pairwise(z, p) as started:
-                dist.log_normal_diag_pairwise(z, p, started)
-        assert len(handoffs) == (1 if cpus == 2 and split else 0)
 
-    def test_a_kernel_started_on_a_busy_helper_runs_inline(
-            self, split, handoffs, blocks, no_floor, monkeypatch):
-        monkeypatch.setattr(ad, "_usable_cpus", lambda: 2)
+class TestOneCpu:
+    """A process allowed one CPU hands the helper nothing: the calling
+    thread runs every branch replay, Adam update and density block."""
+
+    @pytest.fixture(autouse=True)
+    def one_cpu(self, monkeypatch):
+        monkeypatch.setattr(ad, "_usable_cpus", lambda: 1)
+
+    def test_the_helper_refuses_every_call(self):
+        ran = []
+        assert ad._helper.submit(lambda: ran.append(1)) is None
+        assert ad._helper.submit(lambda: ran.append(2), if_idle=True) is None
+        assert not ad._helper._pending
+        assert ran == []
+
+    def test_a_started_density_runs_every_block_on_the_caller(
+            self, handoffs, blocks):
         z, p = _density(40)
-        release = threading.Event()
-        replay = ad._helper.submit(release.wait)  # as a branch replay
-        try:
-            with dist.start_pairwise(z, p) as started:
-                dist.log_normal_diag_pairwise(z, p, started)
-            assert handoffs == []
-            assert blocks == [threading.main_thread()] * 10
-        finally:
-            release.set()
-            replay.result(timeout=10)
-        with dist.start_pairwise(z, p) as started:
-            dist.log_normal_diag_pairwise(z, p, started)
-        assert len(handoffs) == 1
+        want = _inline(z, p)
+        blocks.clear()
+        started = dist.start_pairwise(z, p)
+        assert not started.offer()
+        with started:
+            got = dist.log_normal_diag_pairwise(z, p, started)
+        assert_same_bits(got.data, want)
+        assert blocks == [threading.main_thread()] * 10
+        assert handoffs == []
 
-    def test_only_a_thread_in_a_splitting_block_hands_work_over(
-            self, monkeypatch):
-        monkeypatch.setattr(ad, "_usable_cpus", lambda: 2)
+    def test_a_branch_replays_on_the_calling_thread(self):
+        w = Tensor(np.arange(3.0), requires_grad=True)
+        threads = []
 
-        def offered():
-            claims = _started_units(lambda: None)
-            handed = claims._task is not None
-            claims.finish()
-            return handed
+        def noted(g):
+            threads.append(threading.current_thread())
+            return (g * 2.0,)
 
-        assert not offered()
-        with ad.splitting():
-            with ad.splitting():
-                pass
-            # the helper and other threads are outside the caller's block
-            assert not ad._helper.submit(offered).result(10)
-            other = []
-            thread = threading.Thread(target=lambda: other.append(offered()))
-            thread.start()
-            thread.join(10)
-            assert not thread.is_alive() and other == [False]
-            # the inner block left the outer one open
-            assert offered()
-        assert not offered()
+        with Graph():
+            (a,) = Branch(lambda: (ad.apply_op("noted", w.data * 2.0, (w,),
+                                               noted),)).outputs
+            ad.backward((a * a).sum())
+        assert threads == [threading.main_thread()]
+        assert_same_bits(w.grad, 8.0 * w.data)
+
+
+def test_code_on_the_helper_never_hands_work_to_itself(monkeypatch):
+    monkeypatch.setattr(ad, "_usable_cpus", lambda: 2)
+
+    def offered():
+        claims = _offered_units(lambda: None)
+        handed = claims._task is not None
+        claims.finish()
+        return handed
+
+    assert not ad._helper.submit(offered).result(10)
+    assert offered()
+
+
+def test_the_helper_drops_its_block_buffer_once_it_finds_no_block(
+        monkeypatch):
+    monkeypatch.setattr(ad, "_usable_cpus", lambda: 2)
+    z, p = _density(40)
+    with _offered(z, p) as started:
+        assert started._task is not None
+        _wait_until(lambda: not ad._helper._pending)
+        assert started._bufs[1] is None
+        dist.log_normal_diag_pairwise(z, p, started)
+        # the caller found no block either, and keeps no buffer
+        assert started._bufs == [None, None]
 
 
 class TestShared:
@@ -263,7 +304,8 @@ class TestShared:
     has not started."""
 
     def test_a_helper_that_starts_late_leaves_every_block_to_the_caller(
-            self, cpus, split, blocks, no_floor, monkeypatch):
+            self, blocks, monkeypatch):
+        monkeypatch.setattr(ad, "_usable_cpus", lambda: 2)
         z, p = _density(40)
         want = _inline(z, p)
         blocks.clear()
@@ -275,7 +317,7 @@ class TestShared:
         monkeypatch.setattr(ad._helper, "submit",
                             lambda fn, if_idle=False: real_submit(fn))
         try:
-            with dist.start_pairwise(z, p) as started:
+            with _offered(z, p) as started:
                 got = dist.log_normal_diag_pairwise(z, p, started)
         finally:
             release.set()
@@ -285,16 +327,16 @@ class TestShared:
         # the withdrawn call no longer holds the helper busy
         _wait_until(lambda: not ad._helper._pending)
         monkeypatch.setattr(ad._helper, "submit", real_submit)
-        claims = _started_units(lambda: 3)
-        assert (claims._task is not None) == (cpus == 2)
+        claims = _offered_units(lambda: 3)
+        assert claims._task is not None
         claims.finish()
 
     def test_the_helper_runs_the_blocks_while_the_caller_works(
-            self, cpus, split, blocks, no_floor):
+            self, cpus, blocks):
         z, p = _density(40)
         want = _inline(z, p)
         blocks.clear()
-        with dist.start_pairwise(z, p) as started:
+        with _offered(z, p) as started:
             if cpus == 2:
                 _wait_until(lambda: len(blocks) == 10
                             and not ad._helper._pending)
@@ -307,14 +349,14 @@ class TestShared:
         assert len(blocks) == 10
 
     def test_an_error_in_a_helper_block_is_raised_at_the_finish(
-            self, cpus, split, blocks, no_floor):
+            self, cpus, blocks):
         z, p = _density(40)
 
         def fail(thread):
             raise ValueError(f"block on {thread.name}")
 
         blocks.hook = fail
-        with dist.start_pairwise(z, p) as started:
+        with _offered(z, p) as started:
             if cpus == 2:
                 _wait_until(lambda: blocks and not ad._helper._pending)
             with pytest.raises(ValueError, match="block on") as exc:
@@ -324,14 +366,14 @@ class TestShared:
         # no block was claimed after the error
         assert blocks == [thread]
         blocks.hook = None
-        claims = _started_units(lambda: 1)
+        claims = _offered_units(lambda: 1)
         assert (claims._task is not None) == (cpus == 2)
         claims.finish()
 
     @pytest.mark.parametrize("error", [NumericError, KeyboardInterrupt])
     @pytest.mark.parametrize("levels", [1, 2])
     def test_an_error_between_start_and_finish_ends_the_density(
-            self, cpus, split, handoffs, blocks, no_floor, levels, error):
+            self, cpus, handoffs, blocks, levels, error):
         # a paper-sized prior, so the density has several blocks
         model = tiny_model(levels, "vamp", seed=4, m=40, k=500)
         frozen = models.with_frozen_prior(model)
@@ -361,7 +403,7 @@ class TestShared:
 
     @pytest.mark.parametrize("caller_fails", [False, True])
     def test_after_an_error_no_unit_is_claimed_and_the_callers_comes_first(
-            self, split, monkeypatch, caller_fails):
+            self, monkeypatch, caller_fails):
         monkeypatch.setattr(ad, "_usable_cpus", lambda: 2)
         ran = []
 
@@ -378,15 +420,14 @@ class TestShared:
             if caller_fails:
                 raise KeyError("unit 1")
 
-        claims = _started_units(helpers, callers, lambda: ran.append(2))
+        claims = _offered_units(helpers, callers, lambda: ran.append(2))
         _wait_until(lambda: claims._next == 1)
         with pytest.raises(KeyError if caller_fails else ValueError):
             claims.finish()
         assert sorted(ran) == [0, 1]
 
 
-def test_chunks_free_their_started_density_without_the_collector(cpus,
-                                                                 split):
+def test_chunks_free_their_started_density_without_the_collector(cpus):
     # a handle in a reference cycle would keep each chunk's density
     # buffers until the collector ran: about 3 MB a chunk
     rng = np.random.default_rng(0)
@@ -447,7 +488,7 @@ class TestTracerContract:
     threads, so it is valid only while every op, span and `Hvae` method
     runs on the calling thread; the helper runs private numpy kernels."""
 
-    def test_paper_width_step_and_chunk_record_on_the_calling_thread(
+    def test_paper_width_step_validation_and_chunk_record_on_the_caller(
             self, cpus, handoffs, monkeypatch):
         rng = np.random.default_rng(13)
         x = (rng.random((100, 784)) < 0.3).astype(np.float64)
@@ -460,30 +501,30 @@ class TestTracerContract:
             loss = training.objective(x, model, 1.0, rng)
             training.step(params, opt, 1e-3, loss)
         assert handoffs == []  # a recorded pass starts no density
+        training.validation_elbo(model, x, np.random.default_rng(2))
+        assert len(handoffs) == (1 if cpus == 2 else 0)
         frozen = models.with_frozen_prior(model)
         encoded = frozen.encode_x(np.repeat(x[:1], 500, axis=0))
-        inline = frozen.log_importance_weight(encoded,
-                                              np.random.default_rng(1))
-        with ad.splitting():
-            weights = frozen.log_importance_weight(encoded,
-                                                   np.random.default_rng(1))
+        inline = _inline_bits(lambda: frozen.log_importance_weight(
+            encoded, np.random.default_rng(1)), monkeypatch)
+        weights = frozen.log_importance_weight(encoded,
+                                               np.random.default_rng(1))
         assert_same_bits(weights, inline)
         kinds = {kind for kind, _ in seen}
         assert {"apply_op", "gated_dense", "log_normal_diag_pairwise",
                 "logsumexp", "log_bernoulli", "objective", "step",
-                "encode_x", "log_importance_weight", "decode",
-                "start_log_prob", "log_prob"} <= kinds
+                "validation_elbo", "encode_x", "log_importance_weight",
+                "decode", "start_log_prob", "log_prob"} <= kinds
         assert {ident for _, ident in seen} == {threading.get_ident()}
-        assert bool(handoffs) == (cpus == 2)
+        assert len(handoffs) == (2 if cpus == 2 else 0)
 
 
-def test_a_child_forked_while_the_helper_is_busy_can_use_it(split,
-                                                          monkeypatch):
+def test_a_child_forked_while_the_helper_is_busy_can_use_it(monkeypatch):
     monkeypatch.setattr(ad, "_usable_cpus", lambda: 2)
     release = threading.Event()
-    busy = _started_units(release.wait)
+    busy = _offered_units(release.wait)
     assert busy._task is not None
-    refused = _started_units(lambda: None)
+    refused = _offered_units(lambda: None)
     assert refused._task is None
     refused.finish()
     try:
@@ -495,7 +536,7 @@ def test_a_child_forked_while_the_helper_is_busy_can_use_it(split,
             code = 1
             try:
                 done = []
-                claims = _started_units(lambda: done.append(7))
+                claims = _offered_units(lambda: done.append(7))
                 started = claims._task is not None
                 claims.finish()
                 code = 0 if started and done == [7] else 2
@@ -505,7 +546,7 @@ def test_a_child_forked_while_the_helper_is_busy_can_use_it(split,
     finally:
         release.set()
         busy.finish()
-    claims = _started_units(lambda: None)
+    claims = _offered_units(lambda: None)
     assert claims._task is not None
     claims.finish()
 

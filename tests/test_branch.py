@@ -21,12 +21,10 @@ from vampvae.training import objective, validation_elbo
 from test_models import tiny_model
 
 
-@pytest.fixture(autouse=True, params=[1, 2], ids=["one-cpu", "two-cpus"])
-def cpus(request, monkeypatch):
-    """Every test runs as on one usable CPU, where `backward` replays the
-    branches itself, and as on two, where the helper replays them."""
-    monkeypatch.setattr(ad, "_usable_cpus", lambda: request.param)
-    return request.param
+# every test runs as on one usable CPU, where the helper refuses the
+# branches and `backward` replays them itself, and as on two, where the
+# helper replays them
+pytestmark = pytest.mark.usefixtures("cpus")
 
 
 def _replay_thread(cpus):

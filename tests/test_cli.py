@@ -368,6 +368,19 @@ class TestReconstruct:
         assert img.shape == (single, 2 * single + 2 * GRID_MARGIN)
 
 
+@pytest.mark.parametrize("command", ["evaluate", "reconstruct"])
+def test_a_dataset_of_another_width_than_the_checkpoint_exits_one(
+        trained, tmp_path, capsys, command):
+    out = tmp_path / command
+    argv = ([command, "--checkpoint", str(trained / "checkpoint_best.ckpt"),
+             "--dataset", "synth", "--synth-n", "200", "--synth-dim", "25",
+             "--synth-k", "2", "--outdir", str(out)])
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == "error: dataset dim 25 does not match checkpoint dim 16\n"
+    assert not out.exists()
+
+
 class TestCountFlag:
     TRAIN_FLAGS = ["--k", "--m1", "--m2", "--hidden", "--batch-size",
                    "--max-epochs", "--patience", "--mc-samples", "--lr",

@@ -162,14 +162,12 @@ class TestStep:
                 with pytest.raises(ContractError, match=message):
                     step(params, opt, 1e-2)
 
-    @pytest.mark.parametrize("cpus", [1, 2], ids=["one-cpu", "two-cpus"])
     @pytest.mark.parametrize("levels,prior", [(2, "vamp"), (1, "vamp"),
                                               (2, "weighted-vamp"),
                                               (2, "sg"), (1, "sg"),
                                               (2, "mog")])
     def test_updating_each_gradient_as_it_completes_gives_the_same_bits(
-            self, levels, prior, cpus, monkeypatch):
-        monkeypatch.setattr(ad, "_usable_cpus", lambda: cpus)
+            self, levels, prior, cpus):
         x = np.random.default_rng(4).integers(0, 2, (6, 4)).astype(float)
         states = []
         for given_loss in (False, True):
