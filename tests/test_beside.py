@@ -203,6 +203,24 @@ class TestSameBits:
         assert len(handoffs) == (1 if cpus == 2 else 0)
         assert len(blocks) == 5
 
+    def test_a_kernel_started_on_a_busy_helper_runs_inline(
+            self, handoffs, blocks, monkeypatch):
+        monkeypatch.setattr(ad, "_usable_cpus", lambda: 2)
+        z, p = _density(40)
+        release = threading.Event()
+        replay = ad._helper.submit(release.wait)  # as a branch replay
+        try:
+            with _offered(z, p) as started:
+                dist.log_normal_diag_pairwise(z, p, started)
+            assert handoffs == []
+            assert blocks == [threading.main_thread()] * 10
+        finally:
+            release.set()
+            replay.result(timeout=10)
+        with _offered(z, p) as started:
+            dist.log_normal_diag_pairwise(z, p, started)
+        assert len(handoffs) == 1
+
     @pytest.mark.parametrize("prior", ["vamp", "mog"])
     def test_a_recorded_step_never_offers_its_density(self, handoffs, prior,
                                                       monkeypatch):
