@@ -184,13 +184,15 @@ class _Helper:
     one at a time, in order, and reports each through a `Future`. It is a
     daemon thread, started on first use, and idle between calls; no option
     governs it. Three kinds of call reach it: the branch replays of
-    `backward`, which queue; the claiming of a started density's blocks
-    and of a training step's Adam updates (`_Claims.offer`), which starts
-    only on an idle helper, so neither waits behind a replay. In a process
-    allowed one CPU it takes no call at all. A call withdrawn before it
-    starts no longer counts as pending. A forked child starts from a fresh
-    helper: the parent's thread does not exist there, and a call it had
-    pending would hold the helper busy for good."""
+    `backward`, which queue, and the claiming of a started density's
+    blocks and of a training step's Adam updates (`_Claims.offer`), which
+    starts only on an idle helper, so neither waits behind a replay.
+    `submit` is the one place the package reads the CPU count: in a
+    process allowed one CPU the helper takes no call at all, and each
+    caller runs the refused work itself, at once. A call withdrawn before
+    it starts no longer counts as pending. A forked child starts from a
+    fresh helper: the parent's thread does not exist there, and a call it
+    had pending would hold the helper busy for good."""
 
     def __init__(self):
         self._reset()
@@ -1005,14 +1007,12 @@ def backward(root: Tensor) -> None:
     """Accumulate d(root)/d(leaf) into `.grad` of every requires-grad leaf.
 
     When the graph's `on_final` is set, each leaf that received a gradient
-    is passed to it, on the calling thread, once its last gradient is in:
-    after the node that last delivers to it has finished its rule, or, for
-    a leaf a `Branch` reaches after every node of this tape, once the
-    branch has finished. Where the process may use two or more CPUs that
-    is as soon as the leaf is final, so the callback can hand its work to
-    the helper thread beside the rest of the replay; with one CPU it is
-    after the replay, in the same order, where interleaving the callback's
-    work with the replay only measured slower.
+    is passed to it, on the calling thread, as soon as its last gradient
+    is in: after the node that last delivers to it has finished its rule,
+    or, for a leaf a `Branch` reaches after every node of this tape, once
+    the branch has finished, on any number of CPUs. The callback may hand
+    its work to the helper thread beside the rest of the replay or, where
+    the helper refuses it, run that work at once.
 
     A process allowed one CPU replays its branches on the calling thread
     (the helper refuses them), each where a single tape would have.
@@ -1043,13 +1043,11 @@ def backward(root: Tensor) -> None:
         finals.setdefault(index, []).append(leaf)
     running: list[Branch] = []  # replaying on the helper, oldest first
     shared: set[Tensor] = set()  # the leaves they reach
-    held: list[Tensor] = []  # final leaves passed on after the replay
-    pass_on = on_final if _usable_cpus() > 1 else held.append
 
     def finish(index):
         for leaf in finals.pop(index, ()):
             if on_final is not None and leaf.grad is not None:
-                pass_on(leaf)
+                on_final(leaf)
 
     def drain():
         for branch in running:
@@ -1074,8 +1072,6 @@ def backward(root: Tensor) -> None:
 
     _replay(nodes, {root.node: np.asarray(1.0)}, before_leaf, passed)
     drain()
-    for leaf in held:
-        on_final(leaf)
 
 
 def _replay(nodes: list[Node], pending: dict[Node, Array],

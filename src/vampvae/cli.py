@@ -2,19 +2,20 @@
 inspect-prior.
 
 All artifacts land under --outdir and every command is deterministic given
---seed. Exit codes: 0 success, 1 I/O or state errors and running out of
-memory, 2 usage errors, 130 interrupted (Ctrl-C), reported as one
-`interrupted` line on stderr.
+--seed. --outdir is made before a command loads anything, and a command
+that fails removes the directories made for it while they are still empty.
+Exit codes: 0 success, 1 I/O or state errors and running out of memory, 2
+usage errors, 130 interrupted (Ctrl-C), reported as one `interrupted` line
+on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
-import os
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -248,18 +249,23 @@ def _model_spec(args, dataset: ds_mod.Dataset) -> ModelSpec:
                      prior_components=k)
 
 
-def _outdir(args) -> Path:
-    out = Path(args.outdir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _workers(parser: argparse.ArgumentParser) -> int:
-    raw = os.environ.get("VAMPVAE_THREADS", "1")
+@contextmanager
+def _outdir(path: Path):
+    """Make `path` for the block, before a command loads anything, so that a
+    path that cannot be a directory fails at once rather than after a long
+    run. If the block raises, remove the directories made for it, deepest
+    first, while they are still empty."""
+    made = [p for p in (path, *path.parents) if not p.exists()]
     try:
-        return max(1, min(int(raw), 32))
-    except ValueError:
-        parser.error(f"VAMPVAE_THREADS must be an integer, got {raw!r}")
+        path.mkdir(parents=True, exist_ok=True)
+        yield
+    except BaseException:
+        for p in made:
+            try:
+                p.rmdir()
+            except OSError:  # not made, or holding files
+                pass
+        raise
 
 
 def _fixed_test_binarization(dataset: ds_mod.Dataset, seed: int) -> np.ndarray:
@@ -282,6 +288,7 @@ def _checkpoint_and_test(args) -> tuple:
 
 def cmd_train(args) -> int:
     started = time.monotonic()
+    out = Path(args.outdir)
     dataset = load_dataset(args)
     training.check_splits(dataset.train, dataset.val)
     spec = _model_spec(args, dataset)
@@ -297,7 +304,6 @@ def cmd_train(args) -> int:
     log = fit(dataset.train, dataset.val, model, config,
               binarization=binarization)
 
-    out = _outdir(args)
     training.write_trainlog(log, out / "trainlog.jsonl")
     save_checkpoint(model, out / "checkpoint_final.ckpt")
     set_parameters(model, log.best_state)
@@ -309,13 +315,11 @@ def cmd_train(args) -> int:
     return 0
 
 
-def cmd_evaluate(args, parser: argparse.ArgumentParser) -> int:
-    workers = _workers(parser)
+def cmd_evaluate(args) -> int:
+    out = Path(args.outdir)
     model, test = _checkpoint_and_test(args)
     report = evaluation.evaluate_model(model, test, s=args.is_samples,
-                                       seed=args.seed, bins=args.bins,
-                                       workers=workers)
-    out = _outdir(args)
+                                       seed=args.seed, bins=args.bins)
     (out / "report.json").write_text(report.to_json(), encoding="utf-8")
     (out / "histogram.csv").write_text(report.histogram.to_csv(),
                                        encoding="utf-8")
@@ -330,8 +334,8 @@ def cmd_evaluate(args, parser: argparse.ArgumentParser) -> int:
 
 
 def cmd_generate(args) -> int:
+    out = Path(args.outdir)
     model = load_checkpoint(args.checkpoint)
-    out = _outdir(args)
     gen = generate(model, args.n, np.random.default_rng(args.seed))
     pgm.write_grid(gen.x_mean, pgm.tile_shape(model.spec.data_dim),
                    out / "generated.pgm")
@@ -340,10 +344,10 @@ def cmd_generate(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
+    out = Path(args.outdir)
     model, test = _checkpoint_and_test(args)
     rows = test[:args.n]
     recon = reconstruct(rows, model, np.random.default_rng(args.seed))
-    out = _outdir(args)
     pgm.write_side_by_side(rows, recon, pgm.tile_shape(model.spec.data_dim),
                            out / "reconstructions.pgm")
     print(f"wrote {rows.shape[0]} reconstructions to "
@@ -352,6 +356,7 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_inspect_prior(args, parser: argparse.ArgumentParser) -> int:
+    out = Path(args.outdir)
     model = load_checkpoint(args.checkpoint)
     prior = model.prior
     if not isinstance(prior, (VampPrior, MixtureOfGaussians)):
@@ -360,7 +365,6 @@ def cmd_inspect_prior(args, parser: argparse.ArgumentParser) -> int:
     if args.component is not None and not 0 <= args.component < prior.k:
         parser.error(f"--component {args.component} out of range for "
                      f"K={prior.k}")
-    out = _outdir(args)
     shape = pgm.tile_shape(model.spec.data_dim)
     rng = np.random.default_rng(args.seed)
 
@@ -388,18 +392,12 @@ def cmd_inspect_prior(args, parser: argparse.ArgumentParser) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    commands = {"train": cmd_train, "evaluate": cmd_evaluate,
+                "generate": cmd_generate, "reconstruct": cmd_reconstruct,
+                "inspect-prior": lambda a: cmd_inspect_prior(a, parser)}
     try:
-        if args.command == "train":
-            return cmd_train(args)
-        if args.command == "evaluate":
-            return cmd_evaluate(args, parser)
-        if args.command == "generate":
-            return cmd_generate(args)
-        if args.command == "reconstruct":
-            return cmd_reconstruct(args)
-        if args.command == "inspect-prior":
-            return cmd_inspect_prior(args, parser)
-        parser.error(f"unknown command {args.command}")
+        with _outdir(Path(args.outdir)):
+            return commands[args.command](args)
     except (VampVaeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return RUNTIME_ERROR
@@ -410,7 +408,6 @@ def main(argv=None) -> int:
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)
         return INTERRUPTED
-    return 0
 
 
 if __name__ == "__main__":

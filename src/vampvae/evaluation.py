@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,29 +52,24 @@ def is_log_likelihood(x: np.ndarray, model, s: int, rng,
 
 
 def per_example_log_likelihood(model, data: np.ndarray, s: int, seed: int,
-                               workers: int = 1,
                                chunk_size: int = DEFAULT_IS_CHUNK) -> np.ndarray:
-    """IS log-likelihood per dataset row, reduced in index order.
+    """IS log-likelihood per dataset row, one row after another on the
+    calling thread.
 
-    Each row gets its own generator spawned from `seed`, so the result is
-    identical for any worker count. The rows are evaluated on a copy of the
-    model with a frozen prior, made before any worker starts, so the prior's
-    mixture components are computed once for the whole call.
+    Each row gets its own generator spawned from `seed`, so a row's estimate
+    does not depend on the rows before it. The rows are evaluated on a copy
+    of the model with a frozen prior, so the prior's mixture components are
+    computed once for the whole call; each row's forward passes may still
+    offer their mixture density to the package's helper thread.
     """
     data = np.asarray(data, dtype=np.float64)
     if data.ndim != 2 or data.shape[0] == 0:
         raise ContractError("need a non-empty (N, D) matrix")
     seqs = np.random.SeedSequence(seed).spawn(data.shape[0])
     frozen_model = with_frozen_prior(model)
-
-    def one(i: int) -> float:
-        return is_log_likelihood(data[i], frozen_model, s,
-                                 np.random.default_rng(seqs[i]), chunk_size)
-
-    if workers <= 1:
-        return np.array([one(i) for i in range(data.shape[0])])
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return np.array(list(pool.map(one, range(data.shape[0]))))
+    return np.array([is_log_likelihood(row, frozen_model, s,
+                                       np.random.default_rng(seq), chunk_size)
+                     for row, seq in zip(data, seqs)])
 
 
 def bits_per_dim(mean_ll_nats: float, d: int) -> float:
@@ -235,12 +229,11 @@ class EvalReport:
 
 
 def evaluate_model(model, test_data: np.ndarray, s: int, seed: int,
-                   bins: int = 50, workers: int = 1) -> EvalReport:
+                   bins: int = 50) -> EvalReport:
     """Full evaluation pass: active units (no randomness, so a split too
     small for them fails at once), IS log-likelihood, histogram."""
     act = active_units(test_data, model)
-    lls = per_example_log_likelihood(model, test_data, s, seed,
-                                     workers=workers)
+    lls = per_example_log_likelihood(model, test_data, s, seed)
     mean_ll = float(lls.mean())
     bpd = None
     if model.spec.likelihood == "logistic":

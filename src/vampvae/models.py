@@ -72,13 +72,17 @@ class ModelSpec:
     prior_squash: bool = True
 
     def __post_init__(self):
-        if self.levels not in (1, 2):
-            raise ContractError(f"levels must be 1 or 2, got {self.levels}")
-        for name in ("data_dim", "latent1", "latent2", "hidden",
+        # not isinstance: a bool is an int to Python, and a spec holding one
+        # would re-save as true/false
+        for name in ("levels", "data_dim", "latent1", "latent2", "hidden",
                      "hidden_layers", "prior_components"):
             value = getattr(self, name)
-            if not isinstance(value, int) or value < 1:
+            if type(value) is not int or value < 1:
                 raise ContractError(f"{name} must be a positive integer")
+        if self.levels not in (1, 2):
+            raise ContractError(f"levels must be 1 or 2, got {self.levels}")
+        if not isinstance(self.prior_squash, bool):
+            raise ContractError("prior_squash must be true or false")
         if self.likelihood not in LIKELIHOODS:
             raise ContractError(f"unknown likelihood '{self.likelihood}'")
         if self.prior_kind not in PRIOR_KINDS:

@@ -86,18 +86,17 @@ def step(params: dict[str, Tensor], opt: AdamState, lr: float,
     Given `loss`, it sets the loss graph's `on_final`, runs
     `backward(loss)`, and queues each parameter's update as `backward`
     passes it on as final; without `loss` it queues every update at once,
-    from the gradients the parameters hold. Where the process may use two
-    or more CPUs, the updates are claimed one at a time from that queue
-    (`autodiff._Claims`) by the calling thread and the package's helper
-    thread, started whenever it is idle: with the `sg` and `mog` priors
-    the helper has nothing else to do, so the updates overlap the rest of
-    the backward pass. While the helper replays a vamp prior's branch the
-    caller runs the updates as they come, and once the replay is over the
-    helper takes them. With one CPU the caller runs them all, in the same
-    order, after the replay. The caller claims whatever is left once
-    `backward` returns, and `step` returns, or raises, only after every
-    update it started has finished; an update not yet claimed then is
-    dropped. Each update drops its gradient once used (given `loss`).
+    from the gradients the parameters hold. The updates are claimed one at
+    a time from that queue (`autodiff._Claims`) by the calling thread and
+    the package's helper thread, started whenever it is idle: with the
+    `sg` and `mog` priors the helper has nothing else to do, so the
+    updates overlap the rest of the backward pass. While the helper
+    replays a vamp prior's branch, or where the process may use one CPU
+    and the helper refuses every call, the caller runs each update as it
+    comes, between the nodes of the replay. The caller claims whatever is
+    left once `backward` returns, and `step` returns, or raises, only
+    after every update it started has finished; an update not yet claimed
+    then is dropped. Each update drops its gradient once used (given `loss`).
     Every trainable parameter needs a gradient, and gets the same bits on
     any thread.
 

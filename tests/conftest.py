@@ -16,8 +16,10 @@ before it can hold the helper busy for the next one. So do claims offered
 to the helper (`autodiff._Claims.offer`) and never finished or ended, at
 once: their units would drain within the grace and pass unnoticed.
 
-The `cpus` fixture runs a test as on one usable CPU, where the helper
-takes no call and the calling thread runs everything, and as on two.
+The `cpus` fixture runs a test as on one usable CPU and as on two, by
+replacing `autodiff._usable_cpus`, which only the helper's `submit` reads:
+on one CPU the helper refuses every call and the calling thread runs
+everything itself.
 """
 
 import sys

@@ -144,10 +144,10 @@ class TestSameBits:
         assert_same_bits(plain.data, got[0])
         assert len(handoffs) == (1 if cpus == 2 else 0)
 
-    def test_evaluation_workers_give_the_same_bits(self, cpus, handoffs,
-                                                   monkeypatch):
-        # the calling thread and worker threads alike offer their
-        # densities; whichever finds the helper idle hands one over
+    def test_evaluation_rows_give_the_same_bits(self, cpus, handoffs,
+                                                monkeypatch):
+        # the rows run one after another on the calling thread, which
+        # offers each density; the helper takes those it finds idle for
         data = np.random.default_rng(6).integers(0, 2, (6, 4)).astype(float)
         interval = sys.getswitchinterval()
         for levels in (1, 2):
@@ -157,21 +157,13 @@ class TestSameBits:
             assert handoffs == []
             sys.setswitchinterval(1e-6)
             try:
-                for workers in (1, 2, 3):
-                    assert_same_bits(per_example_log_likelihood(
-                        model, data, 30, seed=2, workers=workers,
-                        chunk_size=12), serial)
-                    callers = {c.caller for c in handoffs}
-                    if cpus == 1:
-                        assert callers == set()
-                    elif workers == 1:
-                        assert callers == {threading.main_thread()}
-                    else:
-                        assert callers and threading.main_thread() \
-                            not in callers
-                    handoffs.clear()
+                assert_same_bits(per_example_log_likelihood(
+                    model, data, 30, seed=2, chunk_size=12), serial)
             finally:
                 sys.setswitchinterval(interval)
+            assert {c.caller for c in handoffs} == (
+                set() if cpus == 1 else {threading.main_thread()})
+            handoffs.clear()
 
     @pytest.mark.parametrize("prior", ["vamp", "mog", "sg"])
     def test_validation_may_start_its_density(self, cpus, handoffs, prior,

@@ -88,7 +88,7 @@ class TestBranch:
         assert threads["main"] is threading.current_thread()
         assert threads["b1"] is threads["b2"] is _replay_thread(cpus)
 
-    def test_on_final_once_per_leaf_after_its_last_add_and_rule(self, cpus):
+    def test_on_final_once_per_leaf_after_its_last_add_and_rule(self):
         want = dict(zip("wp", _Case().run(branched=False)))
         case = _Case()
         seen = Counter()
@@ -108,24 +108,16 @@ class TestBranch:
             log.index(("done", n)) for n in ("main", "b1", "b2"))
         assert log.index(("final", "p")) > max(
             log.index(("done", n)) for n in ("b1", "b2"))
-        if cpus == 1:
-            # with no branch on the helper, leaves are passed on after the
-            # whole replay
-            assert [e[0] for e in log] == ["done"] * 3 + ["final"] * 2
 
-    def test_without_a_branch_leaves_pass_after_the_replay_or_once_final(
-            self, cpus):
+    def test_without_a_branch_leaves_pass_once_final(self):
         case = _Case()
         case.run(branched=False, on_final=lambda leaf: case.log.append(
             ("final", "w" if leaf is case.w else "p")))
         log = [e[:2] for e in case.log]
-        if cpus == 1:
-            assert [e[0] for e in log] == ["done"] * 3 + ["final"] * 2
-        else:
-            # each leaf right after the node nearest the tape's start that
-            # lists it: p after b1's product, before b1's tap has finished
-            assert log == [("done", "b2"), ("final", "p"), ("done", "b1"),
-                           ("done", "main"), ("final", "w")]
+        # each leaf right after the node nearest the tape's start that lists
+        # it: p after b1's product, before b1's tap has finished
+        assert log == [("done", "b2"), ("final", "p"), ("done", "b1"),
+                       ("done", "main"), ("final", "w")]
 
     def test_many_branches_under_frequent_thread_switches(self):
         # eight branches and the main tape add into one leaf; a lost or

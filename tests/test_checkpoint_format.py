@@ -154,6 +154,25 @@ def test_malformed_manifest_is_a_format_error(tmp_path, edit):
     assert err.value.offset == 12
 
 
+@pytest.mark.parametrize("field,value", [
+    ("levels", True), ("data_dim", True), ("prior_squash", "yes"),
+    ("prior_squash", 1)])
+def test_a_spec_value_of_the_wrong_type_is_a_format_error(tmp_path, field,
+                                                          value):
+    # levels 1 and data_dim 1 make true equal to the value it stands for,
+    # so the header is canonical for the spec it parses to
+    spec = ModelSpec(levels=1, data_dim=1, latent1=1, hidden=1,
+                     hidden_layers=1)
+    model = build_model(spec, np.random.default_rng(0))
+    meta, payload = split_header(checkpoint_bytes(model))
+    meta["spec"][field] = value
+    path = tmp_path / "bad.ckpt"
+    path.write_bytes(join_header(meta, payload))
+    with pytest.raises(FormatError) as err:
+        load_checkpoint(path)
+    assert err.value.offset == 12
+
+
 def _compact_separators(blob: bytes) -> bytes:
     meta, payload = split_header(blob)
     header = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode()

@@ -279,17 +279,6 @@ class TestEvaluate:
         assert f"(at byte offset {len(blob) - 8})" in err
         assert err.count("\n") == 1 and "Traceback" not in err
 
-    def test_non_integer_worker_env_is_usage_error(self, trained, tmp_path,
-                                                   monkeypatch, capsys):
-        monkeypatch.setenv("VAMPVAE_THREADS", "abc")
-        argv = (["evaluate", "--checkpoint",
-                 str(trained / "checkpoint_best.ckpt")] + TINY_DATA
-                + ["--outdir", str(tmp_path)])
-        with pytest.raises(SystemExit) as exc:
-            cli.main(argv)
-        assert exc.value.code == 2
-        assert "VAMPVAE_THREADS" in capsys.readouterr().err
-
     def test_deterministic_report_bytes(self, trained, tmp_path):
         outs = []
         for sub in ("x", "y"):
@@ -301,20 +290,6 @@ class TestEvaluate:
             assert cli.main(argv) == 0
             outs.append((out / "report.json").read_bytes())
         assert outs[0] == outs[1]
-
-    def test_worker_env_does_not_change_report(self, trained, tmp_path,
-                                               monkeypatch):
-        blobs = []
-        for workers in ("1", "3"):
-            monkeypatch.setenv("VAMPVAE_THREADS", workers)
-            out = tmp_path / f"w{workers}"
-            argv = (["evaluate", "--checkpoint",
-                     str(trained / "checkpoint_best.ckpt")] + TINY_DATA
-                    + ["--is-samples", "6", "--seed", "4",
-                       "--outdir", str(out)])
-            assert cli.main(argv) == 0
-            blobs.append((out / "report.json").read_bytes())
-        assert blobs[0] == blobs[1]
 
     def test_best_checkpoint_reproduces_logged_val_elbo(self, trained):
         # cross-module consistency: the trainlog's best val ELBO must be
@@ -379,6 +354,28 @@ def test_a_dataset_of_another_width_than_the_checkpoint_exits_one(
     err = capsys.readouterr().err
     assert err == "error: dataset dim 25 does not match checkpoint dim 16\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+def test_an_outdir_under_a_file_fails_before_the_run(
+        trained, tmp_path, monkeypatch, capsys, command):
+    def started(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(cli, "fit", started)
+    monkeypatch.setattr(evaluation, "evaluate_model", started)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    if command == "train":
+        argv = ["train", *TINY_DATA, *TINY_MODEL, *TINY_TRAIN]
+    else:
+        argv = ["evaluate", "--checkpoint",
+                str(trained / "checkpoint_best.ckpt"), *TINY_DATA]
+    argv += ["--outdir", str(blocker / "out")]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert blocker.read_text() == ""
 
 
 class TestCountFlag:

@@ -2,7 +2,6 @@
 
 import json
 import math
-import sys
 
 import numpy as np
 import pytest
@@ -139,13 +138,15 @@ class TestIsLogLikelihood:
 
 
 class TestPerExampleLogLikelihood:
-    def test_worker_count_does_not_change_results(self):
+    def test_a_row_does_not_depend_on_the_other_rows(self):
+        # each row draws from its own generator, spawned by its index
         model = tiny_model(1, seed=25)
         data = np.random.default_rng(1).integers(0, 2, (6, 4)).astype(float)
-        serial = per_example_log_likelihood(model, data, 20, seed=7, workers=1)
-        threaded = per_example_log_likelihood(model, data, 20, seed=7,
-                                              workers=4)
-        np.testing.assert_array_equal(serial, threaded)
+        want = per_example_log_likelihood(model, data, 20, seed=7)
+        data[0] = 1.0 - data[0]
+        got = per_example_log_likelihood(model, data, 20, seed=7)
+        np.testing.assert_array_equal(got[1:], want[1:])
+        assert got[0] != want[0]
 
     def test_deterministic_given_seed(self):
         model = tiny_model(2, "vamp", seed=26)
@@ -177,9 +178,8 @@ class TestOncePerCallComponents:
                               np.random.default_rng(seqs[i]), self.CHUNK)
             for i in range(data.shape[0])])
 
-    def _per_example(self, model, data, workers=1):
+    def _per_example(self, model, data):
         return per_example_log_likelihood(model, data, self.S, self.SEED,
-                                          workers=workers,
                                           chunk_size=self.CHUNK)
 
     @staticmethod
@@ -194,17 +194,9 @@ class TestOncePerCallComponents:
         monkeypatch.setattr(model.prior, "encoder", counting)
         return calls
 
-    @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_bitwise_equal_to_re_encoding_calls(self, model, data, workers):
+    def test_bitwise_equal_to_re_encoding_calls(self, model, data, cpus):
         want = self._direct(model, data)
-        # more workers than cores, switching threads as often as possible:
-        # every worker reads the one set of fixed components
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            got = self._per_example(model, data, workers)
-        finally:
-            sys.setswitchinterval(interval)
+        got = self._per_example(model, data)
         np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_prior_encoder_runs_once_per_call(self, model, data,
@@ -214,7 +206,7 @@ class TestOncePerCallComponents:
         chunks = -(-self.S // self.CHUNK) * data.shape[0]
         assert len(calls) == chunks
         calls.clear()
-        self._per_example(model, data, workers=2)
+        self._per_example(model, data)
         assert calls == [(model.prior.k, 4)]
         calls.clear()
         validation_elbo(model, data, np.random.default_rng(0), batch_size=2)
@@ -231,7 +223,7 @@ class TestOncePerCallComponents:
                               mc_samples=2, batch_size=2)
         assert got == want
 
-    def test_no_components_left_after_an_exception_in_the_pool(
+    def test_no_components_left_after_an_exception_in_a_row(
             self, model, data, monkeypatch):
         class Boom(Exception):
             pass
@@ -246,7 +238,7 @@ class TestOncePerCallComponents:
         prior = model.prior
         monkeypatch.setattr(model, "log_importance_weight", failing)
         with pytest.raises(Boom):
-            self._per_example(model, data, workers=2)
+            self._per_example(model, data)
         assert model.prior is prior
         calls = self._count_encodes(model, monkeypatch)
         model.prior.log_prob(Tensor(np.zeros((2, model.spec.latent2))))
@@ -493,7 +485,6 @@ class TestRowOnceEncoding:
     def _data():
         return np.random.default_rng(41).integers(0, 2, (3, 4)).astype(float)
 
-    @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("s", [1, CHUNK - 1, CHUNK, CHUNK + 1,
                                    2 * CHUNK + 3])
     @pytest.mark.parametrize("levels,prior", [(1, "sg"), (1, "vamp"),
@@ -501,11 +492,10 @@ class TestRowOnceEncoding:
                              ids=["vae-sg", "vae-vamp", "hvae-sg",
                                   "hvae-vamp"])
     def test_bitwise_equal_to_per_chunk_encoding(self, levels, prior, s,
-                                                 workers):
+                                                 cpus):
         model = tiny_model(levels, prior, seed=42)
         data = self._data()
         got = per_example_log_likelihood(model, data, s, self.SEED,
-                                         workers=workers,
                                          chunk_size=self.CHUNK)
         want = self._reference(model, data, s)
         np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
@@ -524,7 +514,7 @@ class TestRowOnceEncoding:
             return stack(x)
 
         monkeypatch.setattr(model, "enc_z1_x", counting)
-        per_example_log_likelihood(model, data, s, self.SEED, workers=2,
+        per_example_log_likelihood(model, data, s, self.SEED,
                                    chunk_size=self.CHUNK)
         assert len(calls) == lengths * data.shape[0]
         tail = s % self.CHUNK

@@ -403,6 +403,14 @@ class TestModelSpec:
         with pytest.raises(ContractError):
             ModelSpec(levels=3, data_dim=4)
 
+    @pytest.mark.parametrize("field,value", [
+        ("levels", True), ("data_dim", True), ("latent2", True),
+        ("hidden", True), ("prior_components", True),
+        ("prior_squash", "yes"), ("prior_squash", 1)])
+    def test_rejects_a_value_of_the_wrong_type(self, field, value):
+        with pytest.raises(ContractError, match=field):
+            ModelSpec(**{"levels": 1, "data_dim": 4, field: value})
+
     def test_rejects_bad_likelihood(self):
         with pytest.raises(ContractError):
             ModelSpec(levels=1, data_dim=4, likelihood="gamma")
