@@ -56,6 +56,28 @@ RECORDED = {
         "L2-weighted-vamp":
             "8fa032d65ad768f16b67c678ddad67fed08094d1d03021d7ed45b9e4b134d646",
     },
+    "x86_64 simd=X86_V3,X86_V4,AVX512_ICL numpy=2.4.6 blas=scipy-openblas-0.3.31.188.0": {
+        "L1-sg":
+            "2e0624dc738bbd79919b38c634df91c92a0dc2b55bf9ca1a3d40144788638422",
+        "L1-mog":
+            "df7a0ddd344ef6c1156f1bad68d2432490350ce07181820f8f8f3a7a6f673396",
+        "L1-vamp":
+            "7ca39ded7e0d4dd12e672219490898d3d96abfc19f67c3814ad65921490cac17",
+        "L1-vamp-data":
+            "17ffa0e9082db0c82fb9949f5d44ef696e537c273ab54d418a62c4c7af891c5e",
+        "L1-weighted-vamp":
+            "1dc2b88846a2a83eb66f763f49db84870e59292bf27edf7d60201faa22a8d291",
+        "L2-sg":
+            "2770d5fe20116d8289dc8ea61fe4e82a1b75ccddf3f58ef52ff52ac7344eb716",
+        "L2-mog":
+            "84995b3dc7f1107a83f78df2f3c08e8acdb89bceab46127d2c518b58da79bf20",
+        "L2-vamp":
+            "cef0685b7407bf41691396220cac0ca5595b5334b31070038507277d4b7cf36b",
+        "L2-vamp-data":
+            "03adcb38737792d805d904d1d2aaba910873ea1dd7b9016c0c1fe8b1cfa8826b",
+        "L2-weighted-vamp":
+            "8fa032d65ad768f16b67c678ddad67fed08094d1d03021d7ed45b9e4b134d646",
+    },
 }
 
 

@@ -44,6 +44,12 @@ RECORDED = {
         "is_chunk":
             "ea1427a9d1d5cc9bcd821f018060f9c8a4731fa85a30c7f263cb21b3279061e9",
     },
+    "x86_64 simd=X86_V3,X86_V4,AVX512_ICL numpy=2.4.6 blas=scipy-openblas-0.3.31.188.0": {
+        "step":
+            "96de204e1f27c95ec8bdf133631e6c3ea4e68c0b13c6aaba7813b35a7781a03e",
+        "is_chunk":
+            "ea1427a9d1d5cc9bcd821f018060f9c8a4731fa85a30c7f263cb21b3279061e9",
+    },
 }
 
 

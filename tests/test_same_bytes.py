@@ -66,6 +66,28 @@ RECORDED = {
         "L2-weighted-vamp":
             "ac76b98c89cd6313f934c18758b2083131452716202588590a3d2a8692adb301",
     },
+    "x86_64 simd=X86_V3,X86_V4,AVX512_ICL numpy=2.4.6 blas=scipy-openblas-0.3.31.188.0": {
+        "L1-sg":
+            "abe67e5424fec588a91c126f7453b6385339806b53ce0d32085839efc30c6e39",
+        "L1-mog":
+            "8451f2fac71444f03abe88985b52b9f06178804fac6fb99d34b1fe44c572f5af",
+        "L1-vamp":
+            "eaba39ae13c8a67d0ccce5e5f99b69fa8140fa4b6490b5b42bdbfaea33750f04",
+        "L1-vamp-data":
+            "03e536c8a8241ece2ec9e7014184c2f9ea084b462e38dc4dfe5f11c152e10c09",
+        "L1-weighted-vamp":
+            "eaf751a4c941ec4c0e733671b95525eb74a15219e413fb939ae1b80a9be7ee0e",
+        "L2-sg":
+            "65e8ecdf363bb7d9f1f823ae0ebcd8bde3173db0b945e134f1e8b39bb27cf8e3",
+        "L2-mog":
+            "2636e99687f1cf1e231d7a2cb50ab30fb49cd8538738d9e544d0c40c5a9930b8",
+        "L2-vamp":
+            "2c34865a491d62fbb5e1b12093cf7c1fd656f8a3a86cdd38ad6608391929af7d",
+        "L2-vamp-data":
+            "c888c0f9f59ffbf58f5173014b7a722611e010a3d6b0c167e3e04654d408599b",
+        "L2-weighted-vamp":
+            "ac76b98c89cd6313f934c18758b2083131452716202588590a3d2a8692adb301",
+    },
 }
 
 
@@ -138,6 +160,18 @@ PATH_CASES = {
 # platform_key() -> case -> sha256 over its artifacts' sha256 lines
 RECORDED_PATHS = {
     "x86_64 simd=X86_V3,X86_V4,AVX512_ICL,AVX512_SPR numpy=2.4.6 blas=scipy-openblas-0.3.31.188.0": {
+        "L1-mc2":
+            "11f7133b7b4d0e6a930459c8694e37c890e9eee4665f0318d194c4495b36d756",
+        "L2-mc2":
+            "af9f44827cf5e2b3d72367c0efb553d384e1387ab4c968749793d428b5d1cda2",
+        "freyfaces":
+            "3fc1e6d9ad37a9c5d98ed93c87750a2afe170c41d519b29b15f8c3192dffffde",
+        "omniglot":
+            "439d91a81c122a42fcf00a7e1194acc7dea3af1cc235f4779ed7d4c7e399b5d1",
+        "raw-val-rows":
+            "3babf7b776ef21d468b249bffbb42cf5dfada9adcc151eb1a6943a38e61894da",
+    },
+    "x86_64 simd=X86_V3,X86_V4,AVX512_ICL numpy=2.4.6 blas=scipy-openblas-0.3.31.188.0": {
         "L1-mc2":
             "11f7133b7b4d0e6a930459c8694e37c890e9eee4665f0318d194c4495b36d756",
         "L2-mc2":
