@@ -30,6 +30,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ContractError, DimensionError, DomainError
+from .helper import Claims
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -170,7 +171,7 @@ def _accumulate_rows(acc: np.ndarray | None, block: np.ndarray) -> np.ndarray:
     return acc
 
 
-class PairwiseStart(ad._Claims):
+class PairwiseStart(Claims):
     """`log_normal_diag_pairwise(z, p)`'s forward under way: its row blocks
     as claims, the components `p`, their precision and the output. Each
     thread that claims a block works in a block buffer of its own, dropped

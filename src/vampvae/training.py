@@ -15,6 +15,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Graph, Tensor
 from .errors import ContractError, DomainError
+from .helper import Claims
 from .models import with_frozen_prior
 
 # gradient blocks with L2 norm below this are skipped entirely
@@ -87,7 +88,7 @@ def step(params: dict[str, Tensor], opt: AdamState, lr: float,
     `backward(loss)`, and queues each parameter's update as `backward`
     passes it on as final; without `loss` it queues every update at once,
     from the gradients the parameters hold. The updates are claimed one at
-    a time from that queue (`autodiff._Claims`) by the calling thread and
+    a time from that queue (`helper.Claims`) by the calling thread and
     the package's helper thread, started whenever it is idle: with the
     `sg` and `mog` priors the helper has nothing else to do, so the
     updates overlap the rest of the backward pass. While the helper
@@ -156,7 +157,7 @@ def step(params: dict[str, Tensor], opt: AdamState, lr: float,
             np.add(s, opt.eps, out=s)
             wc -= np.divide(g, s, out=g)
 
-    with ad._Claims() as claims:
+    with Claims() as claims:
         def final(p: Tensor) -> None:
             name = names.pop(p, None)
             if name is None:

@@ -7,19 +7,20 @@ file the suite would run at the host's BLAS thread count and, at paper
 shapes, compute other bits than the CLI does. `test_blas_threads` checks
 the order.
 
-The package's helper thread is a daemon and outlives the test that starts
-it; a thread that is not a daemon and is still running when its test ends
-would keep the interpreter from exiting. A call the helper still has
-pending a short while after its test ends (a branch replay, a started
-density's blocks or an Adam update the test leaked) fails that test too,
-before it can hold the helper busy for the next one. So do claims offered
-to the helper (`autodiff._Claims.offer`) and never finished or ended, at
-once: their units would drain within the grace and pass unnoticed.
+The package's helper thread (module `helper`) is a daemon and outlives
+the test that starts it; a thread that is not a daemon and is still
+running when its test ends would keep the interpreter from exiting. A call
+the helper still has pending a short while after its test ends (a branch
+replay, a started density's blocks or an Adam update the test leaked)
+fails that test too, before it can hold the helper busy for the next one.
+So do claims offered to the helper (`helper.Claims.offer`) and never
+finished or ended, at once: their units would drain within the grace and
+pass unnoticed.
 
 The `cpus` fixture runs a test as on one usable CPU and as on two, by
-replacing `autodiff._usable_cpus`, which only the helper's `submit` reads:
-on one CPU the helper refuses every call and the calling thread runs
-everything itself.
+replacing `helper.usable_cpus`, which only `Helper.submit` reads: on one
+CPU the helper refuses every call and the calling thread runs everything
+itself.
 """
 
 import sys
@@ -32,7 +33,7 @@ import time  # noqa: E402
 import pytest  # noqa: E402
 
 import vampvae  # noqa: E402,F401
-from vampvae import autodiff  # noqa: E402
+from vampvae import helper as hp  # noqa: E402
 
 # how long a test's last helper call may take to finish after the test
 HELPER_GRACE_S = 1.0
@@ -50,14 +51,14 @@ def no_thread_left_running():
 
 @pytest.fixture(params=[1, 2], ids=["one-cpu", "two-cpus"])
 def cpus(request, monkeypatch):
-    monkeypatch.setattr(autodiff, "_usable_cpus", lambda: request.param)
+    monkeypatch.setattr(hp, "usable_cpus", lambda: request.param)
     return request.param
 
 
 @pytest.fixture(autouse=True)
 def no_helper_call_left_pending(monkeypatch):
     unended = []  # a token per offered claims not yet ended
-    offer, end = autodiff._Claims.offer, autodiff._Claims.__exit__
+    offer, end = hp.Claims.offer, hp.Claims.__exit__
 
     def counted_offer(claims):
         if "unended" not in vars(claims):
@@ -71,14 +72,14 @@ def no_helper_call_left_pending(monkeypatch):
             unended.remove(token)
         return end(claims, *exc)
 
-    monkeypatch.setattr(autodiff._Claims, "offer", counted_offer)
-    monkeypatch.setattr(autodiff._Claims, "__exit__", counted_end)
+    monkeypatch.setattr(hp.Claims, "offer", counted_offer)
+    monkeypatch.setattr(hp.Claims, "__exit__", counted_end)
     yield
     if unended:
         pytest.fail(f"test left {len(unended)} offered claims unended")
     deadline = time.monotonic() + HELPER_GRACE_S
-    while autodiff._helper._pending and time.monotonic() < deadline:
+    while hp.helper._pending and time.monotonic() < deadline:
         time.sleep(0.001)
-    if autodiff._helper._pending:
-        pytest.fail(f"test left {autodiff._helper._pending} call(s) pending "
+    if hp.helper._pending:
+        pytest.fail(f"test left {hp.helper._pending} call(s) pending "
                     "on the helper thread")

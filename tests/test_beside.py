@@ -1,7 +1,7 @@
 """Tests of the pairwise mixture density that an unrecorded pass offers to
 the idle helper thread as soon as z is drawn (`priors.start_log_prob`, a
 `distributions.start_pairwise` handle whose row blocks are
-`autodiff._Claims`): it keeps the bits of the inline path, makes every op,
+`helper.Claims`): it keeps the bits of the inline path, makes every op,
 span and tape node on the calling thread, raises errors as the inline path
 does, runs no block once its pass has failed, frees its buffers early, and
 leaves the helper usable after an error or a fork. A recorded pass never
@@ -11,11 +11,13 @@ nothing."""
 import gc
 import os
 import signal
+import subprocess
 import sys
 import threading
 import time
 import types
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from test_models import tiny_model
 from test_paper_bytes import SPEC
 from vampvae import autodiff as ad
 from vampvae import distributions as dist
+from vampvae import helper as hp
 from vampvae import models, priors, training
 from vampvae.autodiff import Branch, Graph, Tensor
 from vampvae.distributions import DiagGaussian
@@ -39,10 +42,10 @@ class _Seen(list):
 
 @pytest.fixture
 def handoffs(monkeypatch):
-    """The densities the helper accepted (`_Claims.offer`), each with the
+    """The densities the helper accepted (`Claims.offer`), each with the
     thread that offered it as `caller`."""
     offered = []
-    real = ad._Claims.offer
+    real = hp.Claims.offer
 
     def counted(claims):
         accepted = real(claims)
@@ -52,7 +55,7 @@ def handoffs(monkeypatch):
             offered.append(claims)
         return accepted
 
-    monkeypatch.setattr(ad._Claims, "offer", counted)
+    monkeypatch.setattr(hp.Claims, "offer", counted)
     return offered
 
 
@@ -102,7 +105,7 @@ def _wait_until(condition, timeout=10.0):
 
 def _offered_units(*fns):
     """Claims of one unit per function, offered to the helper."""
-    claims = ad._Claims(lambda slot, fn=fn: fn() for fn in fns)
+    claims = hp.Claims(lambda slot, fn=fn: fn() for fn in fns)
     claims.offer()
     return claims
 
@@ -110,7 +113,7 @@ def _offered_units(*fns):
 def _inline_bits(fn, monkeypatch):
     """fn() as on one usable CPU, where every density runs inline."""
     with monkeypatch.context() as m:
-        m.setattr(ad, "_usable_cpus", lambda: 1)
+        m.setattr(hp, "usable_cpus", lambda: 1)
         return fn()
 
 
@@ -197,10 +200,10 @@ class TestSameBits:
 
     def test_a_kernel_started_on_a_busy_helper_runs_inline(
             self, handoffs, blocks, monkeypatch):
-        monkeypatch.setattr(ad, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(hp, "usable_cpus", lambda: 2)
         z, p = _density(40)
         release = threading.Event()
-        replay = ad._helper.submit(release.wait)  # as a branch replay
+        replay = hp.helper.submit(release.wait)  # as a branch replay
         try:
             with _offered(z, p) as started:
                 dist.log_normal_diag_pairwise(z, p, started)
@@ -216,7 +219,7 @@ class TestSameBits:
     @pytest.mark.parametrize("prior", ["vamp", "mog"])
     def test_a_recorded_step_never_offers_its_density(self, handoffs, prior,
                                                       monkeypatch):
-        monkeypatch.setattr(ad, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(hp, "usable_cpus", lambda: 2)
         data = np.random.default_rng(6).integers(0, 2, (40, 4)).astype(float)
         for levels in (1, 2):
             model = tiny_model(levels, prior, seed=4)
@@ -244,13 +247,13 @@ class TestOneCpu:
 
     @pytest.fixture(autouse=True)
     def one_cpu(self, monkeypatch):
-        monkeypatch.setattr(ad, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(hp, "usable_cpus", lambda: 1)
 
     def test_the_helper_refuses_every_call(self):
         ran = []
-        assert ad._helper.submit(lambda: ran.append(1)) is None
-        assert ad._helper.submit(lambda: ran.append(2), if_idle=True) is None
-        assert not ad._helper._pending
+        assert hp.helper.submit(lambda: ran.append(1)) is None
+        assert hp.helper.submit(lambda: ran.append(2), if_idle=True) is None
+        assert not hp.helper._pending
         assert ran == []
 
     def test_a_started_density_runs_every_block_on_the_caller(
@@ -282,8 +285,33 @@ class TestOneCpu:
         assert_same_bits(w.grad, 8.0 * w.data)
 
 
+
+class TestCpuCount:
+    """`usable_cpus`, which only `Helper.submit` reads, counts the CPUs the
+    process may run on, where the platform can tell, else the machine's."""
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                        reason="needs os.sched_setaffinity")
+    def test_a_process_pinned_to_one_cpu_hands_the_helper_nothing(self):
+        probe = ("import os; os.sched_setaffinity(0, "
+                 "{min(os.sched_getaffinity(0))}); "
+                 "from vampvae import helper as hp; "
+                 "print(hp.usable_cpus(), hp.helper.submit(lambda: None))")
+        src = Path(__file__).resolve().parent.parent / "src"
+        out = subprocess.run([sys.executable, "-c", probe],
+                             env=dict(os.environ, PYTHONPATH=str(src)),
+                             capture_output=True, text=True, timeout=60)
+        assert out.stdout.split() == ["1", "None"], out.stderr
+
+    def test_without_an_affinity_call_the_machines_count(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert hp.usable_cpus() == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)  # undeterminable
+        assert hp.usable_cpus() == 1
+
 def test_code_on_the_helper_never_hands_work_to_itself(monkeypatch):
-    monkeypatch.setattr(ad, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(hp, "usable_cpus", lambda: 2)
 
     def offered():
         claims = _offered_units(lambda: None)
@@ -291,17 +319,17 @@ def test_code_on_the_helper_never_hands_work_to_itself(monkeypatch):
         claims.finish()
         return handed
 
-    assert not ad._helper.submit(offered).result(10)
+    assert not hp.helper.submit(offered).result(10)
     assert offered()
 
 
 def test_the_helper_drops_its_block_buffer_once_it_finds_no_block(
         monkeypatch):
-    monkeypatch.setattr(ad, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(hp, "usable_cpus", lambda: 2)
     z, p = _density(40)
     with _offered(z, p) as started:
         assert started._task is not None
-        _wait_until(lambda: not ad._helper._pending)
+        _wait_until(lambda: not hp.helper._pending)
         assert started._bufs[1] is None
         dist.log_normal_diag_pairwise(z, p, started)
         # the caller found no block either, and keeps no buffer
@@ -315,16 +343,16 @@ class TestShared:
 
     def test_a_helper_that_starts_late_leaves_every_block_to_the_caller(
             self, blocks, monkeypatch):
-        monkeypatch.setattr(ad, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(hp, "usable_cpus", lambda: 2)
         z, p = _density(40)
         want = _inline(z, p)
         blocks.clear()
         release = threading.Event()
-        blocker = ad._helper.submit(release.wait)
-        real_submit = ad._helper.submit
+        blocker = hp.helper.submit(release.wait)
+        real_submit = hp.helper.submit
         # the density's call queues behind the blocker, as on a helper whose
         # core is busy elsewhere
-        monkeypatch.setattr(ad._helper, "submit",
+        monkeypatch.setattr(hp.helper, "submit",
                             lambda fn, if_idle=False: real_submit(fn))
         try:
             with _offered(z, p) as started:
@@ -335,8 +363,8 @@ class TestShared:
         assert blocks == [threading.main_thread()] * 10
         blocker.result(10)
         # the withdrawn call no longer holds the helper busy
-        _wait_until(lambda: not ad._helper._pending)
-        monkeypatch.setattr(ad._helper, "submit", real_submit)
+        _wait_until(lambda: not hp.helper._pending)
+        monkeypatch.setattr(hp.helper, "submit", real_submit)
         claims = _offered_units(lambda: 3)
         assert claims._task is not None
         claims.finish()
@@ -349,13 +377,13 @@ class TestShared:
         with _offered(z, p) as started:
             if cpus == 2:
                 _wait_until(lambda: len(blocks) == 10
-                            and not ad._helper._pending)
+                            and not hp.helper._pending)
             else:
                 assert blocks == []
             got = dist.log_normal_diag_pairwise(z, p, started)
         assert_same_bits(got.data, want)
         assert set(blocks) == {threading.main_thread() if cpus == 1
-                               else ad._helper._thread}
+                               else hp.helper._thread}
         assert len(blocks) == 10
 
     def test_an_error_in_a_helper_block_is_raised_at_the_finish(
@@ -368,10 +396,10 @@ class TestShared:
         blocks.hook = fail
         with _offered(z, p) as started:
             if cpus == 2:
-                _wait_until(lambda: blocks and not ad._helper._pending)
+                _wait_until(lambda: blocks and not hp.helper._pending)
             with pytest.raises(ValueError, match="block on") as exc:
                 dist.log_normal_diag_pairwise(z, p, started)
-        thread = ad._helper._thread if cpus == 2 else threading.main_thread()
+        thread = hp.helper._thread if cpus == 2 else threading.main_thread()
         assert str(exc.value) == f"block on {thread.name}"
         # no block was claimed after the error
         assert blocks == [thread]
@@ -404,7 +432,7 @@ class TestShared:
         frozen.decode = decode
         with pytest.raises(error):
             frozen.log_importance_weight(encoded, np.random.default_rng(0))
-        assert not ad._helper._pending
+        assert not hp.helper._pending
         ran = len(blocks)
         time.sleep(0.05)
         assert len(blocks) == ran == (1 if cpus == 2 else 0)
@@ -414,7 +442,7 @@ class TestShared:
     @pytest.mark.parametrize("caller_fails", [False, True])
     def test_after_an_error_no_unit_is_claimed_and_the_callers_comes_first(
             self, monkeypatch, caller_fails):
-        monkeypatch.setattr(ad, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(hp, "usable_cpus", lambda: 2)
         ran = []
 
         def helpers():
@@ -426,7 +454,7 @@ class TestShared:
         def callers():
             ran.append(1)
             # until the helper has failed and let go of the claims
-            _wait_until(lambda: 0 in ran and not ad._helper._pending)
+            _wait_until(lambda: 0 in ran and not hp.helper._pending)
             if caller_fails:
                 raise KeyError("unit 1")
 
@@ -530,7 +558,7 @@ class TestTracerContract:
 
 
 def test_a_child_forked_while_the_helper_is_busy_can_use_it(monkeypatch):
-    monkeypatch.setattr(ad, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(hp, "usable_cpus", lambda: 2)
     release = threading.Event()
     busy = _offered_units(release.wait)
     assert busy._task is not None

@@ -13,6 +13,7 @@ import pytest
 
 from helpers import assert_same_bits
 from vampvae import autodiff as ad
+from vampvae import helper as hp
 from vampvae.autodiff import Branch, Graph, Tensor, backward
 from vampvae.errors import ContractError, NumericError
 from vampvae.priors import VampPrior
@@ -28,7 +29,7 @@ pytestmark = pytest.mark.usefixtures("cpus")
 
 
 def _replay_thread(cpus):
-    return threading.current_thread() if cpus == 1 else ad._helper._thread
+    return threading.current_thread() if cpus == 1 else hp.helper._thread
 
 
 def _tap(a, log, name):

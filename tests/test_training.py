@@ -12,6 +12,7 @@ import pytest
 from helpers import assert_same_bits, peak_mb_above_held, zero_parameters
 from vampvae import autodiff as ad
 from vampvae import cli, training
+from vampvae import helper as hp
 from vampvae.autodiff import Branch, Graph, Tensor, backward
 from vampvae.datasets import synth_clusters
 from vampvae.errors import ContractError, DomainError
@@ -215,7 +216,7 @@ def _record_updates(monkeypatch, on_run=None):
     the updates were queued in) and its thread, then call `on_run(i)`.
     Returns the log and the number queued so far, in a one-item list."""
     ran, queued = [], [0]
-    real = ad._Claims.add
+    real = hp.Claims.add
 
     def add(self, unit):
         i = queued[0]
@@ -229,7 +230,7 @@ def _record_updates(monkeypatch, on_run=None):
 
         real(self, recorded)
 
-    monkeypatch.setattr(ad._Claims, "add", add)
+    monkeypatch.setattr(hp.Claims, "add", add)
     return ran, queued
 
 
@@ -252,14 +253,14 @@ class TestStepClaims:
 
     @pytest.fixture(autouse=True)
     def two_cpus(self, monkeypatch):
-        monkeypatch.setattr(ad, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(hp, "usable_cpus", lambda: 2)
 
     def test_the_first_final_gradient_starts_the_idle_helper(
             self, monkeypatch):
         with monkeypatch.context() as m:
-            m.setattr(ad, "_usable_cpus", lambda: 1)
+            m.setattr(hp, "usable_cpus", lambda: 1)
             want = _sg_step()
-        real_submit = ad._helper.submit
+        real_submit = hp.helper.submit
         calls = []
 
         def submit(fn, if_idle=False):
@@ -267,7 +268,7 @@ class TestStepClaims:
             calls.append((if_idle, task is not None, queued[0]))
             return task
 
-        monkeypatch.setattr(ad._helper, "submit", submit)
+        monkeypatch.setattr(hp.helper, "submit", submit)
         ran, queued = _record_updates(monkeypatch)
         got = _sg_step()
         assert calls[0] == (True, True, 1)
@@ -279,12 +280,12 @@ class TestStepClaims:
     def test_a_helper_that_starts_late_leaves_every_update_to_the_caller(
             self, monkeypatch):
         want = _sg_step()
-        real_submit = ad._helper.submit
+        real_submit = hp.helper.submit
         release = threading.Event()
         blocker = real_submit(release.wait)
         # the claims' call queues behind the blocker, as on a helper whose
         # core is busy elsewhere
-        monkeypatch.setattr(ad._helper, "submit",
+        monkeypatch.setattr(hp.helper, "submit",
                             lambda fn, if_idle=False: real_submit(fn))
         ran, queued = _record_updates(monkeypatch)
         try:
@@ -295,7 +296,7 @@ class TestStepClaims:
         assert {t for _, t in ran} == {threading.current_thread()}
         blocker.result(10)
         # the withdrawn call no longer holds the helper busy
-        assert ad._helper._pending == 0
+        assert hp.helper._pending == 0
         for k in want:
             assert_same_bits(got[k], want[k])
 
@@ -313,7 +314,7 @@ class TestStepClaims:
             return (g,)
 
         ran, _ = _record_updates(monkeypatch, lambda i: updated.set())
-        real_submit = ad._helper.submit
+        real_submit = hp.helper.submit
         offers = []
 
         def submit(fn, if_idle=False):
@@ -322,7 +323,7 @@ class TestStepClaims:
                 offers.append(task is not None)
             return task
 
-        monkeypatch.setattr(ad._helper, "submit", submit)
+        monkeypatch.setattr(hp.helper, "submit", submit)
         params = {"w": w, "q": q}
         opt = AdamState(params)
         with Graph():
@@ -340,20 +341,20 @@ class TestStepClaims:
     def test_an_update_queued_after_the_helper_ran_dry_starts_it_again(
             self):
         ran = []
-        with ad._Claims() as claims:
+        with hp.Claims() as claims:
             for i in range(2):
                 claims.add(lambda slot, i=i: ran.append(
                     (i, threading.current_thread())))
                 assert claims.offer()
                 deadline = time.monotonic() + 10
-                while len(ran) <= i or ad._helper._pending:
+                while len(ran) <= i or hp.helper._pending:
                     assert time.monotonic() < deadline
                     time.sleep(0.001)
-        assert ran == [(0, ad._helper._thread), (1, ad._helper._thread)]
+        assert ran == [(0, hp.helper._thread), (1, hp.helper._thread)]
 
     def test_a_missing_gradient_raised_on_the_helper_reaches_the_caller(
             self, monkeypatch):
-        real_claim = ad._Claims.claim
+        real_claim = hp.Claims.claim
 
         def claim(self, slot=0):
             # the caller claims only once the helper's call has ended, so
@@ -362,7 +363,7 @@ class TestStepClaims:
                 futures.wait([self._task], timeout=10)
             return real_claim(self, slot)
 
-        monkeypatch.setattr(ad._Claims, "claim", claim)
+        monkeypatch.setattr(hp.Claims, "claim", claim)
         queued = None
 
         def on_run(i):
@@ -382,8 +383,8 @@ class TestStepClaims:
                                "parameter 'unused'"):
                 step(params, opt, 1e-2, loss)
         assert [i for i, _ in ran] == [0, 1]
-        assert {t for _, t in ran} == {ad._helper._thread}
-        assert ad._helper._pending == 0
+        assert {t for _, t in ran} == {hp.helper._thread}
+        assert hp.helper._pending == 0
 
     @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
     def test_an_error_in_backward_waits_for_the_helpers_update_only(
@@ -416,8 +417,8 @@ class TestStepClaims:
                 step(params, opt, 1e-2, loss)
         # a's update, on the helper, finished before `step` raised; b's
         # was queued behind it and never ran
-        assert ran == [(0, ad._helper._thread)]
-        assert ad._helper._pending == 0
+        assert ran == [(0, hp.helper._thread)]
+        assert hp.helper._pending == 0
         assert not np.array_equal(a.data, before["a"])
         np.testing.assert_array_equal(b.data, before["b"])
         time.sleep(0.05)
